@@ -2,7 +2,7 @@
 
 Run from the root of a repository checkout::
 
-    python3 wallbench/run.py --workload decode-bf16-iterl2 --seed 1 --seconds 25 --trace 0
+    python3 wallbench/run.py --workload decode-bf16-iterl2 --seed 1 --seconds 30 --trace 0
 
 Workloads are ``decode-bf16-iterl2``, ``chat-prefix-fp64`` and
 ``norm-kernel`` (see ``wallbench/README.md``).  ``--trace 0`` measures the
@@ -93,7 +93,7 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seed < 0:

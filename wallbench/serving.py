@@ -3,11 +3,17 @@
 The benchmark keeps its own clock.  Each ``step_at`` call advances it by
 the call's full wall duration (admission, planning, reservation, forward,
 sampling and commit), and when the engine is idle it jumps to the next
-request's due time instead of sleeping.  The engine stamps tokens on its
-own virtual clock, which counts only the forward; every such stamp is
-mapped back to the benchmark-clock time at which its step ended, so TTFT
-and TPOT here are wall-clock figures.  TTFT is timed from the request's
+request's due time instead of sleeping.  The engine's own clock, which
+counts only the forward, is set to the step index instead, so each token
+stamp names the step that produced it, and TTFT and TPOT are read off the
+benchmark clock at the end of that step.  TTFT is timed from the request's
 due time.
+
+Which requests a step sees is decided on a nominal clock
+(:data:`NOMINAL_STEP_S` per step), so the batches depend on the seed alone.
+The first round of a request list records how many requests were submitted
+before each step, and later rounds replay that record: every step runs the
+same batch on every repeat, and its times can be compared across repeats.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import sys
 import time
 import traceback
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +47,15 @@ SAMPLE_CHECKS = 2
 SLO_TTFT_MS = 250.0
 SLO_TPOT_MS = 50.0
 
+#: Step duration of the nominal clock that decides, open loop, which
+#: requests each step sees: the batches then depend on the seed alone, not on
+#: how fast the host ran that round.  Near a chat step's time on a 2-core
+#: x86-64 host; every reported time is measured.
+NOMINAL_STEP_S = 1.5e-3
+#: The engine's clock reads ``step index * _STEP_STAMP``; a step's forward
+#: takes far less, so its token stamps fall before the next step's.
+_STEP_STAMP = 1e3
+
 _clock = time.perf_counter
 
 
@@ -52,8 +66,6 @@ class ServingSpec:
     policy: str
     iterl2norm: bool
     requests_per_round: int
-    #: Distinct request lists a timed run serves in turn.
-    lists: int
     warmup_requests: int
     offline: bool
     rate_scale: float = 1.0
@@ -64,32 +76,33 @@ class ServingSpec:
 WORKLOADS = {
     spec.name: spec
     for spec in (
-        # Offline batch: every request due at t=0, KV pool append-only.  Three
-        # waves of 16, so the TTFT median falls inside a wave, not between.
+        # Offline batch: every request due at t=0, KV pool append-only.  One
+        # batch of 16 (max_batch_size), so a round is short and each step is
+        # repeated often within a run.
         ServingSpec(
             name="decode-bf16-iterl2",
             scenario="codegen",
             policy="bf16-fp8kv",
             iterl2norm=True,
-            requests_per_round=48,
-            lists=1,
+            requests_per_round=16,
             warmup_requests=16,
             offline=True,
         ),
-        # Open loop at an eighth of the scenario's nominal rate (17.5 req/s):
-        # a quarter of the knee sized on a fast host (rate_scale 0.5), still
-        # below half the knee when a shared host runs twice as slow.  24
+        # Open loop at 1/64 of the scenario's nominal rate (2.2 req/s), where
+        # requests seldom share a step: at 17.5 req/s the batches follow the
+        # nominal clock while the measured steps do not, and a host running
+        # 1.4x slow queued the TTFT tail to 2x.  80 three-turn sessions, a
+        # round short enough that each step repeats ~14 times in 30 s.  24
         # blocks force prefix eviction.
         ServingSpec(
             name="chat-prefix-fp64",
             scenario="chat-multiturn",
             policy="fp64-ref",
             iterl2norm=False,
-            requests_per_round=120,
-            lists=3,
+            requests_per_round=240,
             warmup_requests=90,
             offline=False,
-            rate_scale=0.125,
+            rate_scale=0.015625,
             prefix_caching=True,
             max_blocks=24,
         ),
@@ -132,15 +145,36 @@ def token_digest(completed) -> str:
     return f"{crc:08x}"
 
 
+def step_ends(requests, submitted, step_s) -> list[float]:
+    """Benchmark-clock end time of each step, for the given step durations.
+
+    A step starts when the previous one ended, or once the last request
+    submitted before it was due, whichever is later.
+    """
+    clock, ends = 0.0, []
+    for due, took in zip(submitted, step_s):
+        if due:
+            clock = max(clock, requests[due - 1].arrival_time)
+        clock += took
+        ends.append(clock)
+    return ends
+
+
 @dataclass
 class Round:
     requests: list
     completed: list
+    submitted: list[int]  # requests submitted before each step, cumulative
     step_s: list[float]  # wall duration of each step_at call
-    step_end: list[float]  # benchmark-clock time at which each step ended
+    admit_step: list[int]  # per completed request: step that admitted it
     first_step: list[int]  # per completed request: step of its first token
     last_step: list[int]  # per completed request: step of its last token
     report: object
+
+    @property
+    def step_end(self) -> list[float]:
+        """Benchmark-clock end time of each step, on the measured durations."""
+        return step_ends(self.requests, self.submitted, self.step_s)
 
     @property
     def busy_s(self) -> float:
@@ -172,8 +206,26 @@ class Round:
             tpot = (ends[last] - ends[first]) / (c.generated - 1) if c.generated > 1 else None
             yield c.request_id, ends[first] - c.arrival_time, tpot
 
+    def queue_waits(self) -> list[float]:
+        """Per completed request: due time to the start of its admitting step."""
+        ends = self.step_end
+        return [
+            ends[step] - self.step_s[step] - c.arrival_time
+            for c, step in zip(self.completed, self.admit_step)
+        ]
 
-def serve_round(spec, model, executor, requests, tracer=None) -> Round:
+
+def serve_round(spec, model, executor, requests, tracer=None, schedule=None) -> Round:
+    """Serve one request list, open loop or, given a ``schedule``, as a replay.
+
+    Open loop, each step is preceded by the submission of every request due
+    by its start on a nominal clock, which advances :data:`NOMINAL_STEP_S`
+    per step and jumps to the next due time when the engine is idle.  A
+    replay submits, before step ``i``, the first ``schedule[i]`` requests:
+    pass an earlier round's ``submitted`` to give every step that round's
+    batch.  Either way the engine's clock reads the step index, so each token
+    stamp names the step that produced it.
+    """
     engine = ServeEngine(
         model,
         max_batch_size=MAX_BATCH_SIZE,
@@ -184,41 +236,45 @@ def serve_round(spec, model, executor, requests, tracer=None) -> Round:
     if tracer is not None:
         tracing.instrument_engine(tracer, engine)
     engine.begin()
-    clock = 0.0
-    stamps: list[float] = []  # engine token stamp of each step
+    nominal = 0.0
+    submitted: list[int] = []
     walls: list[float] = []
-    ends: list[float] = []
     cursor, count = 0, len(requests)
     while cursor < count or engine.has_work:
-        while cursor < count and requests[cursor].arrival_time <= clock:
-            engine.submit(requests[cursor])
-            cursor += 1
-        if not engine.has_work:
-            clock = requests[cursor].arrival_time
-            continue
+        if schedule is None:
+            due = cursor
+            while due < count and requests[due].arrival_time <= nominal:
+                due += 1
+            if due == cursor and not engine.has_work:
+                nominal = requests[cursor].arrival_time
+                continue
+        elif len(submitted) < len(schedule):
+            due = schedule[len(submitted)]
+        else:
+            raise RuntimeError(f"{spec.name}: replay outran its schedule")
+        for request in requests[cursor:due]:
+            engine.submit(request)
+        cursor = due
         record = tracer.begin("serve.engine.step") if tracer is not None else None
         start = _clock()
-        elapsed = engine.step_at(clock)
+        engine.step_at(len(submitted) * _STEP_STAMP)
         wall = _clock() - start
         if record is not None:
             tracer.end(record)
-        stamps.append(clock + elapsed)
+        submitted.append(due)
         walls.append(wall)
-        clock += wall
-        ends.append(clock)
+        nominal += NOMINAL_STEP_S
     report = engine.report()
 
     def step_of(stamp: float) -> int:
-        index = bisect_left(stamps, stamp)
-        if index == len(stamps) or stamps[index] != stamp:
-            raise RuntimeError(f"engine timestamp {stamp!r} matches no step")
-        return index
+        return int(stamp // _STEP_STAMP)
 
     return Round(
         requests=requests,
         completed=report.completed,
+        submitted=submitted,
         step_s=walls,
-        step_end=ends,
+        admit_step=[step_of(c.admitted_time) for c in report.completed],
         first_step=[step_of(c.first_token_time) for c in report.completed],
         last_step=[step_of(c.finish_time) for c in report.completed],
         report=report,
@@ -292,8 +348,7 @@ def serve_extras(served: Round) -> dict[str, float]:
     pool = served.report.pool_stats
     return {
         "serve.scheduler.preemptions": served.report.metrics["preempted_count"],
-        "serve.scheduler.queue_wait_p50_ms": 1e3
-        * _pct([c.admitted_time - c.arrival_time for c in completed], 50),
+        "serve.scheduler.queue_wait_p50_ms": 1e3 * _pct(served.queue_waits(), 50),
         "serve.kv_pool.prefix_hit_rate": reused / prompt if prompt else 0.0,
         "serve.kv_pool.cow_forks": pool["cow_forks"],
         "serve.kv_pool.prefix_evictions": pool["prefix_evictions"],
@@ -308,24 +363,33 @@ def run(
     seconds: float,
     trace: bool,
     golden: dict,
-    setups: int = 3,
+    setups: int = 5,
     round_size: int | None = None,
     trace_dir: Path | None = None,
 ) -> dict:
+    """One run.  ``setups // 2`` of the set-ups follow the timed rounds, so
+    their median spans the run rather than one phase of a shared host."""
     spec = WORKLOADS[name]
     round_size = round_size or spec.requests_per_round
     attempted = failed = 0
     setup_s = []
-    for _ in range(setups):
+
+    def set_up():
+        nonlocal attempted, failed
         model, executor, took, warm_count, ok = _setup(spec, golden.get(name))
         setup_s.append(took)
         attempted += warm_count
         failed += 0 if ok else warm_count
+        return model, executor
 
+    for _ in range(setups - setups // 2):
+        model, executor = set_up()
     if trace:
         out = _traced(spec, model, executor, seed, seconds, round_size, trace_dir)
     else:
         out = _timed(spec, model, executor, seed, seconds, round_size)
+        for _ in range(setups // 2):
+            set_up()
         out["metrics"]["setup_s"] = statistics.median(setup_s)
     failed += check_against_generate(model, out.pop("checked"), SAMPLE_CHECKS, seed)
     attempted += out.pop("attempted")
@@ -335,127 +399,102 @@ def run(
 
 
 def _timed(spec, model, executor, seed, seconds, round_size) -> dict:
-    """Serve the seed's request lists in turn until ``seconds`` pass.
+    """Serve the seed's request list round after round until ``seconds`` pass.
 
     A shared host alternates between fast and slow phases lasting seconds,
     and a slow phase stretches every timing it covers.  So each timing is the
-    best over repeats of identical work; repeats of a list lie ``lists``
-    rounds apart.  An offline batch is scheduled the same way on every
-    repeat, so step ``i`` always runs the same batch: each step's best time
-    composes one uncontended timeline.  In the open loop the batches depend
-    on timing, so each request keeps its best TTFT and TPOT, and throughput
-    its list's fastest repeat.  The lists average out the traffic one seed
-    draws.
+    best over repeats of identical work.  The first round is served open loop
+    and every later round replays its submissions, so step ``i`` runs the
+    same batch on every repeat.  Each step keeps its best time, and every
+    metric is read off the timeline those best steps compose
+    (:func:`step_ends`).
     """
-    lists = [round_requests(spec, seed * 1000 + i, round_size) for i in range(spec.lists)]
-    first: list[Round | None] = [None] * len(lists)
-    best_steps: list[np.ndarray | None] = [None] * len(lists)
-    best_busy = [float("inf")] * len(lists)
-    ttft: dict[tuple[int, str], float] = {}
-    tpot: dict[tuple[int, str], float] = {}
-
-    def keep_best(index: int, latencies) -> None:
-        for rid, ttft_s, tpot_s in latencies:
-            key = (index, rid)
-            ttft[key] = min(ttft.get(key, ttft_s), ttft_s)
-            if tpot_s is not None:
-                tpot[key] = min(tpot.get(key, tpot_s), tpot_s)
-
+    requests = round_requests(spec, seed * 1000, round_size)
+    first: Round | None = None
+    best: np.ndarray | None = None
     rounds = attempted = failed = 0
     deadline = _clock() + seconds
     while True:
-        index = rounds % len(lists)
-        requests = lists[index]
         rounds += 1
         attempted += len(requests)
+        schedule = first.submitted if first is not None else None
         try:
-            served = serve_round(spec, model, executor, requests)
+            served = serve_round(spec, model, executor, requests, schedule=schedule)
         except Exception:
             traceback.print_exc(file=sys.stderr)
             served = None
             failed += len(requests)
-        ref = first[index] or served
-        if served is not None and (
-            served.digest != ref.digest
-            or (spec.offline and len(served.step_s) != len(ref.step_s))
+        if served is not None and first is not None and (
+            served.digest != first.digest or served.submitted != first.submitted
         ):
             print(f"wallbench: {spec.name} repeat differs from the first", file=sys.stderr)
             failed += len(requests)
         elif served is not None:
             failed += len(requests) - len(served.completed)
-            first[index] = ref
-            if spec.offline:
-                steps = np.asarray(served.step_s)
-                prior = best_steps[index]
-                best_steps[index] = steps if prior is None else np.minimum(prior, steps)
-            else:
-                best_busy[index] = min(best_busy[index], served.busy_s)
-                keep_best(index, served.latencies())
+            first = first or served
+            steps = np.asarray(served.step_s)
+            best = steps if best is None else np.minimum(best, steps)
         if _clock() >= deadline:
             break
-    served_lists = [i for i, r in enumerate(first) if r is not None]
-    if not served_lists:
+    if first is None:
         raise RuntimeError(f"{spec.name}: every round failed")
-    if spec.offline:
-        for i in served_lists:
-            ends = np.cumsum(best_steps[i])
-            best_busy[i] = float(ends[-1])
-            keep_best(i, first[i].latencies(ends))
 
-    busy = sum(best_busy[i] for i in served_lists)
-    sent = sum(len(lists[i]) for i in range(min(rounds, len(lists))))
-    met = sum(
-        t * 1e3 <= SLO_TTFT_MS and tpot.get(key, 0.0) * 1e3 <= SLO_TPOT_MS
-        for key, t in ttft.items()
-    )
+    ttft, tpot, met = [], [], 0
+    for _, ttft_s, tpot_s in first.latencies(step_ends(requests, first.submitted, best)):
+        ttft.append(ttft_s)
+        if tpot_s is not None:
+            tpot.append(tpot_s)
+        met += ttft_s * 1e3 <= SLO_TTFT_MS and (tpot_s or 0.0) * 1e3 <= SLO_TPOT_MS
+    busy = float(best.sum())
     metrics = {
-        "tokens_per_s": sum(first[i].tokens for i in served_lists) / busy,
-        "rows_per_s": sum(first[i].rows for i in served_lists) / busy,
-        "ttft_p50_ms": 1e3 * _pct(list(ttft.values()), 50),
-        "ttft_p90_ms": 1e3 * _pct(list(ttft.values()), 90),
-        "tpot_p50_ms": 1e3 * _pct(list(tpot.values()), 50),
-        "tpot_p90_ms": 1e3 * _pct(list(tpot.values()), 90),
-        "slo_attainment": met / sent,
+        "tokens_per_s": first.tokens / busy,
+        "rows_per_s": first.rows / busy,
+        "ttft_p50_ms": 1e3 * _pct(ttft, 50),
+        "ttft_p90_ms": 1e3 * _pct(ttft, 90),
+        "tpot_p50_ms": 1e3 * _pct(tpot, 50),
+        "tpot_p90_ms": 1e3 * _pct(tpot, 90),
+        "slo_attainment": met / len(requests),
     }
-    checked = first[served_lists[0]]
     detail = {
         "rounds": rounds,
         "requests_per_round": round_size,
+        "steps": len(best),
         "ttft_samples": len(ttft),
         "tpot_samples": len(tpot),
         # Bound by the arrival rate on the open-loop workload.
-        "delivered_tokens_per_s": checked.tokens / checked.makespan_s,
-        "digests": [first[i].digest for i in served_lists],
+        "delivered_tokens_per_s": first.tokens / first.makespan_s,
+        "digest": first.digest,
         "slo_limits_ms": {"ttft": SLO_TTFT_MS, "tpot": SLO_TPOT_MS},
-        **serve_extras(checked),
+        **serve_extras(first),
     }
     return {
         "metrics": metrics,
         "detail": detail,
-        "checked": checked,
+        "checked": first,
         "attempted": attempted,
         "failed": failed,
     }
 
 
 def _traced(spec, model, executor, seed, seconds, round_size, trace_dir) -> dict:
-    """Alternate untraced and traced rounds of one fixed request list."""
+    """Alternate untraced and traced replays of one fixed request list."""
     requests = round_requests(spec, seed * 1000, round_size)
     base = serve_round(spec, model, executor, requests)
+    schedule = base.submitted
     traced_executor = resolve_executor("compiled", model)
     tracer = tracing.Tracer()
     # The first traced round builds the traced executor's plan; discarded.
     with tracing.instrument(tracer, model):
-        serve_round(spec, model, traced_executor, requests, tracer)
+        serve_round(spec, model, traced_executor, requests, tracer, schedule)
 
     attempted, failed = len(requests), 0
     untraced_s, traced_s, layers = [], [], []
     deadline = _clock() + seconds
     while True:
-        plain = serve_round(spec, model, executor, requests)
+        plain = serve_round(spec, model, executor, requests, schedule=schedule)
         tracer.reset()
         with tracing.instrument(tracer, model):
-            traced = serve_round(spec, model, traced_executor, requests, tracer)
+            traced = serve_round(spec, model, traced_executor, requests, tracer, schedule)
         attempted += 2 * len(requests)
         for served in (plain, traced):
             if served.digest != base.digest:

@@ -31,6 +31,15 @@ precision policy.  This module makes that seam explicit:
     * reuses a preallocated context workspace across layers and a logits
       output buffer across steps on the ragged path.
 
+    The transformer block body exists once, in ``CompiledExecutor._block``:
+    norm → q/k/v → head split → attention core → merge → out-projection →
+    residual → norm → FFN → residual.  The cached and ragged forwards differ
+    only in the attention core they pass in.  Each layer's linears come from
+    three *linear providers* on its ``_LayerPlan`` — ``qkv``, ``out`` and
+    ``ffn`` — which are local closures here; the sharded backend
+    (:mod:`repro.shard.executor`) rebinds them to shard fan-outs and runs
+    the same body.
+
 Bit-exactness notes
 -------------------
 Everything the compiled plan does is a *re-staging* of the reference
@@ -62,6 +71,7 @@ before the next forward.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -176,23 +186,30 @@ def _norm_closure(norm, ops):
 
 
 class _LayerPlan:
-    """Flat, attribute-lookup-free op sequence for one transformer block."""
+    """Flat, attribute-lookup-free op sequence for one transformer block.
 
-    __slots__ = ("attn_norm", "q", "k", "v", "out", "ffn_norm", "fc1", "fc2")
+    The linear providers are ``qkv(h) -> (q, k, v)`` (before the head
+    split), ``out(merged)`` and ``ffn(h2)`` (fc1 → ReLU → fc2).  They are
+    plain attributes so a backend can rebind them per layer.
+    """
+
+    __slots__ = ("attn_norm", "ffn_norm", "qkv", "out", "ffn")
 
     def __init__(self, block, ops) -> None:
         attn = block.attention
         ffn = block.ffn
         self.attn_norm = _norm_closure(block.attn_norm, ops)
         self.ffn_norm = _norm_closure(block.ffn_norm, ops)
-        self.q = _linear_closure(ops, attn.q_proj.weight, attn.q_proj.bias)
-        self.k = _linear_closure(ops, attn.k_proj.weight, attn.k_proj.bias)
-        self.v = _linear_closure(ops, attn.v_proj.weight, attn.v_proj.bias)
+        q = _linear_closure(ops, attn.q_proj.weight, attn.q_proj.bias)
+        k = _linear_closure(ops, attn.k_proj.weight, attn.k_proj.bias)
+        v = _linear_closure(ops, attn.v_proj.weight, attn.v_proj.bias)
+        fc1 = _linear_closure(ops, ffn.fc1.weight, ffn.fc1.bias)
+        fc2 = _linear_closure(ops, ffn.fc2.weight, ffn.fc2.bias, block=True)
+        self.qkv = lambda h: (q(h), k(h), v(h))
         self.out = _linear_closure(
             ops, attn.out_proj.weight, attn.out_proj.bias, block=True
         )
-        self.fc1 = _linear_closure(ops, ffn.fc1.weight, ffn.fc1.bias)
-        self.fc2 = _linear_closure(ops, ffn.fc2.weight, ffn.fc2.bias, block=True)
+        self.ffn = lambda h2: fc2(np.maximum(fc1(h2), 0.0))
 
 
 class _Plan:
@@ -363,6 +380,11 @@ class CompiledExecutor:
             raise ValueError("token_ids must contain at least one new token")
         if token_ids.min() < 0 or token_ids.max() >= plan.vocab_size:
             raise ValueError("token ids out of range for vocabulary")
+        views = cache.layers
+        if len(views) != len(plan.layers):
+            raise ValueError(
+                f"cache has {len(views)} layers, model has {len(plan.layers)}"
+            )
         past = cache.seq_len
         if past + seq > plan.max_position:
             raise ValueError(
@@ -371,10 +393,11 @@ class CompiledExecutor:
             )
         positions = np.broadcast_to(np.arange(past, past + seq), (batch, seq))
         hidden = plan.embed(token_ids, positions)
-        views = cache.layers
         raw_ok = self._accepts_raw(views[:1], plan.kv_fmt)
         for lp, kv in zip(plan.layers, views):
-            hidden = self._block_cached(plan, lp, hidden, kv, raw_ok)
+            hidden = self._block(
+                plan, lp, hidden, partial(self._attend_cached, plan, kv, raw_ok)
+            )
         hidden = plan.final_norm(hidden)
         if last_only:
             hidden = hidden[:, -1:, :]
@@ -386,20 +409,55 @@ class CompiledExecutor:
 
     def forward_ragged(self, token_ids, caches, new_lens, last_only=True, last_k=1):
         plan = self._ensure_plan()
+        hidden, caches, lens, raw_ok, ctx = self._ragged_prologue(
+            plan, token_ids, caches, new_lens, last_k
+        )
+        for i, lp in enumerate(plan.layers):
+            views = [cache.layers[i] for cache in caches]
+            hidden = self._block(
+                plan, lp, hidden,
+                partial(self._attend_ragged, plan, views, lens, ctx, raw_ok),
+            )
+        hidden = plan.final_norm(hidden)
+        if last_only:
+            hidden = hidden[:, -last_k:, :]
+        if plan.out_proj_into is not None:
+            out = self._logits_out(hidden.shape[:-1] + (plan.vocab_size,))
+            return plan.out_proj_into(hidden, out)
+        return plan.out_proj(hidden)
+
+    def _ragged_prologue(self, plan, token_ids, caches, new_lens, last_k):
+        """Validate and embed one left-padded ragged step.
+
+        Every ragged forward on a compiled plan starts here, so malformed
+        input fails with the same ``ValueError`` on each of them.  Returns
+        ``(hidden, caches, lens, raw_ok, ctx)``: the embedded batch, the
+        caches as a list, per-row new lengths, whether the caches take
+        pre-quantized appends, and the context workspace.
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
+        if token_ids.ndim != 2:
+            raise ValueError(f"token_ids must be 2-D, got shape {token_ids.shape}")
         batch, max_new = token_ids.shape
         if token_ids.min() < 0 or token_ids.max() >= plan.vocab_size:
             raise ValueError("token ids out of range for vocabulary")
         lens = [int(n) for n in new_lens]
+        caches = list(caches)
         if len(lens) != batch or len(caches) != batch:
             raise ValueError("token_ids, caches and new_lens must agree on batch")
         if last_k < 1 or last_k > max_new:
             raise ValueError(f"last_k must be in [1, {max_new}], got {last_k}")
+        num_layers = len(plan.layers)
         pasts = np.empty(batch, dtype=np.int64)
         for r, cache in enumerate(caches):
             n = lens[r]
             if not 1 <= n <= max_new:
                 raise ValueError(f"new_lens[{r}]={n} outside [1, {max_new}]")
+            if len(cache.layers) != num_layers:
+                raise ValueError(
+                    f"row {r}: cache has {len(cache.layers)} layers, "
+                    f"model has {num_layers}"
+                )
             past = cache.seq_len
             if past + n > plan.max_position:
                 raise ValueError(
@@ -413,32 +471,31 @@ class CompiledExecutor:
         )[:, None]
         positions = np.maximum(pasts[:, None] + offsets, 0)
         hidden = plan.embed(token_ids, positions)
-
         raw_ok = self._accepts_raw(
             [cache.layers[0] for cache in caches], plan.kv_fmt
         )
-        ctx = self._context(plan, batch, max_new)
-        for i, lp in enumerate(plan.layers):
-            views = [cache.layers[i] for cache in caches]
-            hidden = self._block_ragged(
-                plan, lp, hidden, views, lens, batch, max_new, ctx, raw_ok
-            )
-        hidden = plan.final_norm(hidden)
-        if last_only:
-            hidden = hidden[:, -last_k:, :]
-        if plan.out_proj_into is not None:
-            out = self._logits_out(hidden.shape[:-1] + (plan.vocab_size,))
-            return plan.out_proj_into(hidden, out)
-        return plan.out_proj(hidden)
+        return hidden, caches, lens, raw_ok, self._context(plan, batch, max_new)
 
-    # -- block bodies ------------------------------------------------------
-    def _block_cached(self, plan, lp, x, kv, raw_ok):
+    # -- the block body ----------------------------------------------------
+    def _block(self, plan, lp, x, attend):
+        """One transformer block over ``x`` of shape ``(batch, seq, embed)``.
+
+        ``attend(q, k, v)`` is the attention core: it takes and returns
+        ``(batch, heads, seq, head_dim)`` tensors.
+        """
         batch, seq, _ = x.shape
         heads, head_dim = plan.num_heads, plan.head_dim
-        h = lp.attn_norm(x)
-        q = lp.q(h).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        k_new = lp.k(h).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        v_new = lp.v(h).reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+        q, k, v = (
+            t.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+            for t in lp.qkv(lp.attn_norm(x))
+        )
+        context = attend(q, k, v)
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+        x = plan.residual(x, lp.out(merged))
+        return plan.residual(x, lp.ffn(lp.ffn_norm(x)))
+
+    def _attend_cached(self, plan, kv, raw_ok, q, k_new, v_new):
+        """Attention core of ``forward_with_cache``: one batch-wide append."""
         if raw_ok:
             if plan.kv_quant is not None:
                 k_new = plan.kv_quant(k_new)
@@ -447,27 +504,20 @@ class CompiledExecutor:
         else:
             k_all, v_all = kv.append(k_new, v_new)
         scores = plan.attn_scores(q, k_all.transpose(0, 1, 3, 2), plan.scale)
+        seq = q.shape[2]
         if seq > 1:
             scores = scores + self._mask(seq, k_all.shape[2])
-        context = plan.ctx_matmul(plan.softmax(scores), v_all)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
-        x = plan.residual(x, lp.out(merged))
-        h2 = lp.ffn_norm(x)
-        return plan.residual(x, lp.fc2(np.maximum(lp.fc1(h2), 0.0)))
+        return plan.ctx_matmul(plan.softmax(scores), v_all)
 
-    def _block_ragged(self, plan, lp, x, views, lens, batch, max_new, ctx, raw_ok):
-        heads, head_dim = plan.num_heads, plan.head_dim
-        h = lp.attn_norm(x)
-        q = lp.q(h).reshape(batch, max_new, heads, head_dim).transpose(0, 2, 1, 3)
-        k_new = lp.k(h).reshape(batch, max_new, heads, head_dim).transpose(0, 2, 1, 3)
-        v_new = lp.v(h).reshape(batch, max_new, heads, head_dim).transpose(0, 2, 1, 3)
+    def _attend_ragged(self, plan, views, lens, ctx, raw_ok, q, k_new, v_new):
+        """Attention core of ``forward_ragged``: each row appends and attends
+        over its right-aligned real lanes only, writing into ``ctx``."""
+        max_new = q.shape[2]
         if raw_ok and plan.kv_quant is not None:
             # One vectorized quantize per layer per step; per-row slices of
             # an elementwise quantize are bit-identical to per-row quantizes.
-            k_w = plan.kv_quant(k_new)
-            v_w = plan.kv_quant(v_new)
-        else:
-            k_w, v_w = k_new, v_new
+            k_new = plan.kv_quant(k_new)
+            v_new = plan.kv_quant(v_new)
         attn_scores, softmax, ctx_matmul = (
             plan.attn_scores,
             plan.softmax,
@@ -477,22 +527,13 @@ class CompiledExecutor:
         for r, view in enumerate(views):
             n = lens[r]
             pad = max_new - n
-            if raw_ok:
-                k_all, v_all = view.append_raw(
-                    k_w[r : r + 1, :, pad:], v_w[r : r + 1, :, pad:]
-                )
-            else:
-                k_all, v_all = view.append(
-                    k_w[r : r + 1, :, pad:], v_w[r : r + 1, :, pad:]
-                )
+            append = view.append_raw if raw_ok else view.append
+            k_all, v_all = append(k_new[r : r + 1, :, pad:], v_new[r : r + 1, :, pad:])
             scores = attn_scores(q[r : r + 1, :, pad:], k_all.transpose(0, 1, 3, 2), scale)
             if n > 1:
                 scores = scores + self._mask(n, k_all.shape[2])
             ctx[r : r + 1, :, pad:] = ctx_matmul(softmax(scores), v_all)
-        merged = ctx.transpose(0, 2, 1, 3).reshape(batch, max_new, heads * head_dim)
-        x = plan.residual(x, lp.out(merged))
-        h2 = lp.ffn_norm(x)
-        return plan.residual(x, lp.fc2(np.maximum(lp.fc1(h2), 0.0)))
+        return ctx
 
 
 EXECUTORS = {

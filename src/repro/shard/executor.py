@@ -1,10 +1,12 @@
 """Sharded execution backends: fan-out drivers and the executor seam.
 
-:class:`ShardedExecutor` subclasses the compiled executor and replaces
-exactly the six per-layer linears plus the logits projection with shard
-fan-outs; embeddings, norms, attention, softmax, residuals and the KV
-cache stay driver-side, running the *same* compiled-plan closures as the
-unsharded backend.  Combined with the exactness arguments in
+:class:`ShardedExecutor` subclasses the compiled executor and rebinds the
+plan's linear providers — each layer's ``qkv``, ``out`` and ``ffn`` plus
+the tied logits projection — to shard fan-outs.  It has no block body of
+its own: the compiled executor's single ``_block`` runs unchanged, so
+embeddings, norms, attention, softmax, residuals and the KV cache stay
+driver-side in the *same* compiled-plan code as the unsharded backend.
+Combined with the exactness arguments in
 :mod:`repro.shard.worker` (column splits are elementwise-safe; row splits
 reduce through the fixed-block summation tree), every forward is
 bit-identical to the unsharded model under every precision policy.
@@ -55,6 +57,7 @@ import os
 import time
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 
@@ -440,7 +443,6 @@ class ShardedExecutor(CompiledExecutor):
         self._shard_plan = None
         self._drivers: list | None = None
         self._fingerprint: str | None = None
-        self._layer_index: dict[int, int] = {}
         self._plan_obj = None
         self._credit = 0.0
         self._credit_total = 0.0
@@ -513,9 +515,12 @@ class ShardedExecutor(CompiledExecutor):
             self._fingerprint = fingerprint
         if plan is not self._plan_obj:
             self._plan_obj = plan
-            self._layer_index = {id(lp): i for i, lp in enumerate(plan.layers)}
-            # Route the tied logits projection through the shards; the
-            # buffer-reusing einsum fast path is unsharded-only.
+            # Route every linear through the shards; the buffer-reusing
+            # einsum logits fast path is unsharded-only.
+            for i, lp in enumerate(plan.layers):
+                lp.qkv = partial(self._qkv, i)
+                lp.out = partial(self._out, i)
+                lp.ffn = partial(self._ffn, i)
             plan.out_proj = self._logits
             plan.out_proj_into = None
         return plan
@@ -610,19 +615,11 @@ class ShardedExecutor(CompiledExecutor):
         return results
 
     # -- sharded linear applications --------------------------------------
-    def _qkv(self, layer, h, batch, seq, heads, head_dim):
+    def _qkv(self, layer, h):
         results = self._fanout("qkv", layer, [h] * self.num_shards)
-
-        def heads_view(slices):
-            merged = np.concatenate(slices, axis=-1)
-            return merged.reshape(batch, seq, heads, head_dim).transpose(
-                0, 2, 1, 3
-            )
-
-        q = heads_view([r[0] for r in results])
-        k = heads_view([r[1] for r in results])
-        v = heads_view([r[2] for r in results])
-        return q, k, v
+        return tuple(
+            np.concatenate(slices, axis=-1) for slices in zip(*results)
+        )
 
     def _reduce(self, shard_partials, bias):
         shard_plan = self._shard_plan
@@ -650,71 +647,6 @@ class ShardedExecutor(CompiledExecutor):
     def _logits(self, hidden):
         results = self._fanout("logits", 0, [hidden] * self.num_shards)
         return np.concatenate(results, axis=-1)
-
-    # -- block bodies (the inherited loops call these) ---------------------
-    def _block_cached(self, plan, lp, x, kv, raw_ok):
-        layer = self._layer_index[id(lp)]
-        batch, seq, _ = x.shape
-        heads, head_dim = plan.num_heads, plan.head_dim
-        h = lp.attn_norm(x)
-        q, k_new, v_new = self._qkv(layer, h, batch, seq, heads, head_dim)
-        if raw_ok:
-            if plan.kv_quant is not None:
-                k_new = plan.kv_quant(k_new)
-                v_new = plan.kv_quant(v_new)
-            k_all, v_all = kv.append_raw(k_new, v_new)
-        else:
-            k_all, v_all = kv.append(k_new, v_new)
-        scores = plan.attn_scores(q, k_all.transpose(0, 1, 3, 2), plan.scale)
-        if seq > 1:
-            scores = scores + self._mask(seq, k_all.shape[2])
-        context = plan.ctx_matmul(plan.softmax(scores), v_all)
-        merged = context.transpose(0, 2, 1, 3).reshape(
-            batch, seq, heads * head_dim
-        )
-        x = plan.residual(x, self._out(layer, merged))
-        h2 = lp.ffn_norm(x)
-        return plan.residual(x, self._ffn(layer, h2))
-
-    def _block_ragged(self, plan, lp, x, views, lens, batch, max_new, ctx, raw_ok):
-        layer = self._layer_index[id(lp)]
-        heads, head_dim = plan.num_heads, plan.head_dim
-        h = lp.attn_norm(x)
-        q, k_new, v_new = self._qkv(layer, h, batch, max_new, heads, head_dim)
-        if raw_ok and plan.kv_quant is not None:
-            k_w = plan.kv_quant(k_new)
-            v_w = plan.kv_quant(v_new)
-        else:
-            k_w, v_w = k_new, v_new
-        attn_scores, softmax, ctx_matmul = (
-            plan.attn_scores,
-            plan.softmax,
-            plan.ctx_matmul,
-        )
-        scale = plan.scale
-        for r, view in enumerate(views):
-            n = lens[r]
-            pad = max_new - n
-            if raw_ok:
-                k_all, v_all = view.append_raw(
-                    k_w[r : r + 1, :, pad:], v_w[r : r + 1, :, pad:]
-                )
-            else:
-                k_all, v_all = view.append(
-                    k_w[r : r + 1, :, pad:], v_w[r : r + 1, :, pad:]
-                )
-            scores = attn_scores(
-                q[r : r + 1, :, pad:], k_all.transpose(0, 1, 3, 2), scale
-            )
-            if n > 1:
-                scores = scores + self._mask(n, k_all.shape[2])
-            ctx[r : r + 1, :, pad:] = ctx_matmul(softmax(scores), v_all)
-        merged = ctx.transpose(0, 2, 1, 3).reshape(
-            batch, max_new, heads * head_dim
-        )
-        x = plan.residual(x, self._out(layer, merged))
-        h2 = lp.ffn_norm(x)
-        return plan.residual(x, self._ffn(layer, h2))
 
 
 class PipelinedExecutor(ShardedExecutor):
@@ -794,51 +726,13 @@ class PipelinedExecutor(ShardedExecutor):
     def forward_ragged(self, token_ids, caches, new_lens, last_only=True,
                        last_k=1):
         plan = self._ensure_plan()
-        shard_plan = self._shard_plan
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 2:
-            raise ValueError(
-                f"token_ids must be 2-D, got shape {token_ids.shape}"
-            )
-        batch, max_new = token_ids.shape
-        if token_ids.min() < 0 or token_ids.max() >= plan.vocab_size:
-            raise ValueError("token ids out of range for vocabulary")
-        lens = [int(n) for n in new_lens]
-        caches = list(caches)
-        if len(lens) != batch or len(caches) != batch:
-            raise ValueError(
-                "token_ids, caches and new_lens must agree on batch"
-            )
-        if last_k < 1 or last_k > max_new:
-            raise ValueError(
-                f"last_k must be in [1, {max_new}], got {last_k}"
-            )
-        pasts = np.empty(batch, dtype=np.int64)
-        for r, cache in enumerate(caches):
-            n = lens[r]
-            if not 1 <= n <= max_new:
-                raise ValueError(f"new_lens[{r}]={n} outside [1, {max_new}]")
-            past = cache.seq_len
-            if past + n > plan.max_position:
-                raise ValueError(
-                    f"row {r}: length {past + n} exceeds max_position "
-                    f"{plan.max_position}"
-                )
-            pasts[r] = past
-
-        offsets = np.arange(max_new)[None, :] - (
-            max_new - np.asarray(lens, dtype=np.int64)
-        )[:, None]
-        positions = np.maximum(pasts[:, None] + offsets, 0)
         # Embedding (driver-side, with stage 0) runs on the full batch:
         # it is per-row, so splitting it would change nothing.
-        hidden = plan.embed(token_ids, positions)
-
-        raw_ok = self._accepts_raw(
-            [cache.layers[0] for cache in caches], plan.kv_fmt
+        hidden, caches, lens, raw_ok, ctx = self._ragged_prologue(
+            plan, token_ids, caches, new_lens, last_k
         )
-        ctx = self._context(plan, batch, max_new)
-        bounds = shard_plan.layer_bounds
+        batch, max_new = hidden.shape[:2]
+        bounds = self._shard_plan.layer_bounds
         num_stages = self.num_stages
         micro = max(1, min(self.microbatches, batch))
         rows = [(m * batch) // micro for m in range(micro + 1)]
@@ -850,7 +744,6 @@ class PipelinedExecutor(ShardedExecutor):
             h_m = hidden[lo:hi]
             lens_m = lens[lo:hi]
             ctx_m = ctx[lo:hi]
-            nb = hi - lo
             for s in range(num_stages):
                 # Cell time charged to the pipeline recurrence: wall minus
                 # the within-cell tensor-fanout credit already accrued, so
@@ -859,9 +752,10 @@ class PipelinedExecutor(ShardedExecutor):
                 started = time.perf_counter()
                 for i in range(bounds[s], bounds[s + 1]):
                     views = [caches[r].layers[i] for r in range(lo, hi)]
-                    h_m = self._block_ragged(
-                        plan, plan.layers[i], h_m, views, lens_m, nb,
-                        max_new, ctx_m, raw_ok,
+                    h_m = self._block(
+                        plan, plan.layers[i], h_m,
+                        partial(self._attend_ragged, plan, views, lens_m,
+                                ctx_m, raw_ok),
                     )
                 if s == num_stages - 1:
                     h_last = plan.final_norm(h_m)

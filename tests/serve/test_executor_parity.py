@@ -21,12 +21,21 @@ from repro.nn.executor import (
     resolve_executor,
 )
 from repro.nn.generation import generate, generate_batch
+from repro.nn.kv_cache import KVCache
 from repro.nn.model import OPTLanguageModel
 from repro.serve import Request, ServeEngine, generate_workload
 
 #: Every registered precision preset, weakest to strongest quantization.
 POLICIES = ("fp64-ref", "fp32", "fp16", "bf16", "bf16-fp8kv")
 CLASSIC_FOUR = ("steady", "bursty", "chat", "codegen")
+#: Backends that run the compiled executor's block body.
+FAST_BACKENDS = ("compiled", "sharded:2:sim", "pipeline:2:sim")
+
+
+def close_executor(executor):
+    close = getattr(executor, "close", None)
+    if close is not None:
+        close()
 
 
 def make_model(policy=None, seed=11):
@@ -186,16 +195,76 @@ class TestGeneratePath:
         )
         np.testing.assert_array_equal(comp, ref)
 
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
-    def test_generate_batch_backend_parity(self, policy):
+    def test_generate_batch_backend_parity(self, policy, backend):
+        """generate() and generate_batch() (batch > 1 through the cached
+        attention core) on every backend built on the compiled block."""
         model = make_model(policy)
-        prompts = [np.array([1, 2, 3, 1, 2, 3]), np.array([4, 5, 6, 7, 4, 5])]
-        ref = generate_batch(model, prompts, max_new_tokens=8, temperature=0.0)
-        comp = generate_batch(
-            model, prompts, max_new_tokens=8, temperature=0.0, backend="compiled"
-        )
-        for got, expected in zip(comp, ref):
-            np.testing.assert_array_equal(got, expected)
+        executor = resolve_executor(backend, model)
+        try:
+            prompt = np.array([3, 1, 4, 1, 5, 9, 2, 6])
+            np.testing.assert_array_equal(
+                generate(
+                    model, prompt, max_new_tokens=10, temperature=0.0,
+                    backend=executor,
+                ),
+                generate(model, prompt, max_new_tokens=10, temperature=0.0),
+            )
+            prompts = [np.array([1, 2, 3, 1, 2, 3]), np.array([4, 5, 6, 7, 4, 5])]
+            ref = generate_batch(model, prompts, max_new_tokens=8, temperature=0.0)
+            got = generate_batch(
+                model, prompts, max_new_tokens=8, temperature=0.0,
+                backend=executor,
+            )
+            for row, expected in zip(got, ref):
+                np.testing.assert_array_equal(row, expected)
+        finally:
+            close_executor(executor)
+
+
+class TestMalformedInputs:
+    """Every backend rejects bad forward inputs with ``ValueError`` — never
+    an ``IndexError``, an unpacking error, or silently wrong logits."""
+
+    @staticmethod
+    def cases(model):
+        vocab = model.config.vocab_size
+        ids = np.array([[1, 2, 3]])
+        full = model.new_kv_cache
+        return [
+            ("short cache, cached", lambda ex: ex.forward_with_cache(ids, KVCache(1))),
+            ("short cache, ragged", lambda ex: ex.forward_ragged(ids, [KVCache(1)], [3])),
+            ("1-D ids, cached", lambda ex: ex.forward_with_cache(ids[0], full())),
+            ("1-D ids, ragged", lambda ex: ex.forward_ragged(ids[0], [full()], [3])),
+            (
+                "out-of-vocab id, cached",
+                lambda ex: ex.forward_with_cache(np.array([[1, vocab]]), full()),
+            ),
+            (
+                "out-of-vocab id, ragged",
+                lambda ex: ex.forward_ragged(np.array([[1, vocab]]), [full()], [2]),
+            ),
+            ("new_lens 0", lambda ex: ex.forward_ragged(ids, [full()], [0])),
+            ("new_lens > max_new", lambda ex: ex.forward_ragged(ids, [full()], [4])),
+            ("last_k 0", lambda ex: ex.forward_ragged(ids, [full()], [3], last_k=0)),
+            (
+                "last_k > max_new",
+                lambda ex: ex.forward_ragged(ids, [full()], [3], last_k=4),
+            ),
+        ]
+
+    @pytest.mark.parametrize("backend", ("reference",) + FAST_BACKENDS)
+    def test_malformed_inputs_raise_value_error(self, backend):
+        model = make_model()
+        executor = resolve_executor(backend, model)
+        try:
+            for label, call in self.cases(model):
+                with pytest.raises(ValueError):
+                    call(executor)
+                    pytest.fail(f"{label}: no error on {backend}")
+        finally:
+            close_executor(executor)
 
 
 class TestExecutorContract:

@@ -20,12 +20,10 @@ models:
   (replica counts x routing policies x scenarios, writes
   ``BENCH_cluster.json``; ``prefix-affinity`` routing is compared
   against the ``round-robin`` baseline per cell).
-* ``shard-bench`` — the parallel serving benchmark (tensor-shard counts
-  or pipeline stage counts x fan-out drivers x scenarios, each cell
-  paired with its N=1 / P=1 twin and the reference backend, writes
-  ``BENCH_shard.json`` or — with ``--mode pipeline`` —
-  ``BENCH_pipeline.json``; token digests prove partitioning never
-  changes a byte).
+* ``shard-bench`` — the tensor-sharded serving benchmark (shard counts
+  x fan-out drivers x scenarios, each cell paired with its N=1 twin and
+  the reference backend, writes ``BENCH_shard.json``; token digests
+  prove sharding never changes a byte).
 * ``precision-sweep`` — the (precision policy x normalizer) grid of
   perplexity + serving cells (writes ``BENCH_precision.json``).
 * ``all``       — everything, in paper order.
@@ -265,13 +263,6 @@ def _cmd_shard_bench(args) -> None:
             f"integers, got {args.shards!r}"
         )
     try:
-        stages = tuple(int(p) for p in args.stages.split(","))
-    except ValueError:
-        raise SystemExit(
-            f"shard-bench: --stages must be a comma-separated list of "
-            f"integers, got {args.stages!r}"
-        )
-    try:
         run_shard_bench(
             quick=args.quick,
             jobs_n=args.jobs,
@@ -285,9 +276,6 @@ def _cmd_shard_bench(args) -> None:
             max_batch_size=args.max_batch_size,
             rate_scale=args.rate_scale,
             repeats=args.repeats,
-            mode=args.mode,
-            stages=stages,
-            stage_shards=args.stage_shards,
             pin_workers=args.pin_workers,
             prefix_caching=args.prefix_caching,
             max_blocks=args.max_blocks,
@@ -457,9 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend", default="reference",
         help="execution backend: 'compiled' runs the pre-fused executor, "
-             "'sharded:N[:sim|process][:pin]' the tensor-sharded one, "
-             "'pipeline:P[+sharded:N][:sim|process][:pin]' the "
-             "pipeline-parallel one; any non-reference backend pairs "
+             "'sharded:N[:sim|process][:pin]' the tensor-sharded one; "
+             "any non-reference backend pairs "
              "every cell with its reference twin (identical tokens) and "
              "adds backend_comparison to the artifact",
     )
@@ -553,9 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend", default="reference",
         help="execution backend of every replica ('reference', 'compiled', "
-             "'sharded:N[:sim|process][:pin]' or "
-             "'pipeline:P[+sharded:N][:sim|process][:pin]'; process-driver "
-             "replicas share one warm worker pool)",
+             "'sharded:N[:sim|process][:pin]'; process-driver replicas "
+             "share one warm worker pool)",
     )
     p.add_argument(
         "--use-cache", action="store_true",
@@ -567,41 +553,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "shard-bench",
-        help="parallel serving benchmark (shard counts or pipeline stages "
-             "x drivers x scenarios, each cell paired with its N=1 / P=1 "
-             "twin; writes BENCH_shard.json or BENCH_pipeline.json)",
+        help="tensor-sharded serving benchmark (shard counts x drivers x "
+             "scenarios, each cell paired with its N=1 twin; writes "
+             "BENCH_shard.json)",
     )
     p.add_argument("--quick", action="store_true", help="12 requests per scenario")
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="output artifact (default: BENCH_shard.json, or "
-             "BENCH_pipeline.json with --mode pipeline)",
-    )
+    p.add_argument("--out", default="BENCH_shard.json", metavar="PATH")
     p.add_argument(
         "--scenarios", nargs="*", metavar="NAME",
         help="subset of scenarios (default: steady bursty chat codegen)",
     )
     p.add_argument(
-        "--mode", default="sharded", choices=("sharded", "pipeline"),
-        help="parallel axis the grid sweeps: 'sharded' sweeps --shards "
-             "(tensor parallel), 'pipeline' sweeps --stages (layer "
-             "parallel, plus the worker-pool reuse measurement)",
-    )
-    p.add_argument(
         "--shards", default="1,2,4", metavar="N,...",
         help="comma-separated shard counts to sweep (each must divide 12; "
              "the N=1 twin anchors the scaling ratios)",
-    )
-    p.add_argument(
-        "--stages", default="1,2", metavar="P,...",
-        help="comma-separated pipeline stage counts to sweep with --mode "
-             "pipeline (each <= the model's layer count; the P=1 twin "
-             "anchors the scaling ratios)",
-    )
-    p.add_argument(
-        "--stage-shards", type=int, default=1, metavar="N",
-        help="tensor-shard count within each pipeline stage (composed "
-             "pipeline:P+sharded:N topology; P*N <= 4)",
     )
     p.add_argument(
         "--pin-workers", action="store_true",
@@ -610,7 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--drivers", default="process,sim", metavar="D,...",
-        help="comma-separated fan-out drivers to sweep (process, sim)",
+        help="comma-separated fan-out drivers to sweep (process, sim); "
+             "with process the artifact also times cold-fork vs "
+             "warm-attach of the worker pool",
     )
     p.add_argument(
         "--policies", default="fp64-ref,bf16-fp8kv", metavar="P,...",

@@ -308,11 +308,7 @@ def run_cluster_bench(
     merged report carries the summed tier counters.
     """
     stream = stream or sys.stdout
-    from repro.nn.config import get_config
-
-    # Cells serve the fixed opt-125m-sim substrate; validating against its
-    # depth catches an oversized pipeline stage count up front.
-    validate_backend(backend, num_layers=get_config("opt-125m-sim").num_layers)
+    validate_backend(backend)
     validate_policies((policy,))
     # Cluster cells always prefix-cache (affinity routing is the point),
     # so the tier flags only need the per-replica pool bound to resolve.

@@ -409,32 +409,6 @@ class CompiledExecutor:
 
     def forward_ragged(self, token_ids, caches, new_lens, last_only=True, last_k=1):
         plan = self._ensure_plan()
-        hidden, caches, lens, raw_ok, ctx = self._ragged_prologue(
-            plan, token_ids, caches, new_lens, last_k
-        )
-        for i, lp in enumerate(plan.layers):
-            views = [cache.layers[i] for cache in caches]
-            hidden = self._block(
-                plan, lp, hidden,
-                partial(self._attend_ragged, plan, views, lens, ctx, raw_ok),
-            )
-        hidden = plan.final_norm(hidden)
-        if last_only:
-            hidden = hidden[:, -last_k:, :]
-        if plan.out_proj_into is not None:
-            out = self._logits_out(hidden.shape[:-1] + (plan.vocab_size,))
-            return plan.out_proj_into(hidden, out)
-        return plan.out_proj(hidden)
-
-    def _ragged_prologue(self, plan, token_ids, caches, new_lens, last_k):
-        """Validate and embed one left-padded ragged step.
-
-        Every ragged forward on a compiled plan starts here, so malformed
-        input fails with the same ``ValueError`` on each of them.  Returns
-        ``(hidden, caches, lens, raw_ok, ctx)``: the embedded batch, the
-        caches as a list, per-row new lengths, whether the caches take
-        pre-quantized appends, and the context workspace.
-        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError(f"token_ids must be 2-D, got shape {token_ids.shape}")
@@ -474,7 +448,20 @@ class CompiledExecutor:
         raw_ok = self._accepts_raw(
             [cache.layers[0] for cache in caches], plan.kv_fmt
         )
-        return hidden, caches, lens, raw_ok, self._context(plan, batch, max_new)
+        ctx = self._context(plan, batch, max_new)
+        for i, lp in enumerate(plan.layers):
+            views = [cache.layers[i] for cache in caches]
+            hidden = self._block(
+                plan, lp, hidden,
+                partial(self._attend_ragged, plan, views, lens, ctx, raw_ok),
+            )
+        hidden = plan.final_norm(hidden)
+        if last_only:
+            hidden = hidden[:, -last_k:, :]
+        if plan.out_proj_into is not None:
+            out = self._logits_out(hidden.shape[:-1] + (plan.vocab_size,))
+            return plan.out_proj_into(hidden, out)
+        return plan.out_proj(hidden)
 
     # -- the block body ----------------------------------------------------
     def _block(self, plan, lp, x, attend):
@@ -544,20 +531,18 @@ EXECUTORS = {
 
 #: Spec-string shorthands appended to "known backends" error messages.
 _SHARDED_SPEC = "sharded:N[:sim|process][:pin]"
-_PIPELINE_SPEC = "pipeline:P[+sharded:N][:sim|process][:pin]"
 
 
 def _known_backends() -> str:
-    return ", ".join(sorted(EXECUTORS)) + f", {_SHARDED_SPEC}, {_PIPELINE_SPEC}"
+    return ", ".join(sorted(EXECUTORS)) + f", {_SHARDED_SPEC}"
 
 
 def resolve_executor(spec, model):
     """Turn a backend spec into a bound executor.
 
     ``None`` means the reference backend; ``"sharded:N[:driver][:pin]"``
-    builds a tensor-sharded executor and
-    ``"pipeline:P[+sharded:N][:driver][:pin]"`` a pipeline-parallel one
-    (see :mod:`repro.shard`); any other string is looked up in
+    builds a tensor-sharded executor (see :mod:`repro.shard`); any other
+    string is looked up in
     :data:`EXECUTORS`; anything else is assumed to already be an executor
     instance and returned as-is.
     """
@@ -571,14 +556,6 @@ def resolve_executor(spec, model):
 
             num_shards, driver, pin = parse_shard_spec(spec)
             return ShardedExecutor(model, num_shards, driver=driver, pin=pin)
-        if spec.startswith("pipeline"):
-            from repro.shard import PipelinedExecutor, parse_pipeline_spec
-
-            num_stages, num_shards, driver, pin = parse_pipeline_spec(spec)
-            return PipelinedExecutor(
-                model, num_stages, num_shards=num_shards, driver=driver,
-                pin=pin,
-            )
         try:
             cls = EXECUTORS[spec]
         except KeyError:
@@ -590,13 +567,11 @@ def resolve_executor(spec, model):
     return spec
 
 
-def validate_backend(spec, num_layers=None) -> None:
+def validate_backend(spec) -> None:
     """Raise ``ValueError`` when a backend spec string is not resolvable.
 
     Benches call this before declaring their job grids so a typo surfaces
-    as one usage error instead of a failure deep inside a cell.  When the
-    bench knows its model's depth it passes ``num_layers`` so an oversized
-    pipeline stage count fails here too.
+    as one usage error instead of a failure deep inside a cell.
     """
     if spec is None or not isinstance(spec, str):
         return
@@ -606,16 +581,6 @@ def validate_backend(spec, num_layers=None) -> None:
         from repro.shard import parse_shard_spec
 
         parse_shard_spec(spec)  # raises ValueError with specifics
-        return
-    if spec.startswith("pipeline"):
-        from repro.shard import parse_pipeline_spec
-
-        num_stages, _, _, _ = parse_pipeline_spec(spec)
-        if num_layers is not None and num_stages > num_layers:
-            raise ValueError(
-                f"pipeline stage count {num_stages} exceeds the model's "
-                f"{num_layers} decoder layers"
-            )
         return
     raise ValueError(
         f"unknown --backend {spec!r} (known: {_known_backends()})"

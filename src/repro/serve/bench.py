@@ -748,7 +748,7 @@ def run_bench(
     ``BENCH_kv_tier.json`` artifact is produced.
     """
     stream = stream or sys.stdout
-    validate_backend(backend, num_layers=get_config("opt-test").num_layers)
+    validate_backend(backend)
     validate_policies(policies if policies else (policy,))
     validate_tier(
         tier_blocks=tier_blocks,

@@ -381,15 +381,6 @@ class ServeEngine:
         started = self.timer()
         outcome = self._step(plan)
         elapsed = self.timer() - started
-        # A sharded executor accrues overlap credit: wall time its shard
-        # fan-outs would have overlapped on parallel hardware (logical
-        # shards serialize on this host's cores).  Draining it here makes
-        # the virtual clock advance by the sharded critical path, the same
-        # lockstep-max accounting the cluster router applies across
-        # replicas.
-        drain = getattr(self.executor, "consume_overlap_credit", None)
-        if drain is not None:
-            elapsed = max(0.0, elapsed - drain())
         now += elapsed
 
         finished = 0

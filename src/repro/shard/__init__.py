@@ -1,4 +1,4 @@
-"""Tensor-sharded and pipeline-parallel model execution.
+"""Tensor-sharded model execution.
 
 Splits a model's linear layers across ``N`` logical shards — column-parallel
 for Q/K/V, fc1 and the tied logits projection, row-parallel for the
@@ -8,16 +8,10 @@ through the fixed-block summation tree of
 bit-identical to the unsharded model under every precision policy and every
 shard count.
 
-On top of that, :class:`~repro.shard.executor.PipelinedExecutor` partitions
-the decoder stack into ``P`` contiguous stages (optionally tensor-split
-within each stage) and interleaves microbatches across stages; bit-exactness
-is structural because stage compute is unchanged layer compute, merely
-partitioned.
-
 Two drivers execute the fan-out:
 
-* ``sim`` — in-process loop over shard states (fast, no processes); used by
-  the parity tests.
+* ``sim`` — an in-process serial loop over shard states (no processes);
+  used by the parity tests.
 * ``process`` — one worker process per shard holding its weight slices in
   :mod:`multiprocessing.shared_memory`, driven in lockstep over pipes.
   Process worker bundles come from the persistent
@@ -26,31 +20,22 @@ Two drivers execute the fan-out:
   model attach to warm workers instead of re-forking.
 
 See :class:`~repro.shard.executor.ShardedExecutor` for the exactness
-argument and the critical-path (overlap-credit) timing model.
+argument.  Serving timings are measured wall-clock; nothing is modeled.
 """
 
-from repro.shard.executor import (
-    PipelinedExecutor,
-    ShardWorkerError,
-    ShardedExecutor,
-    parse_pipeline_spec,
-    parse_shard_spec,
-)
-from repro.shard.plan import PipelinePlan, ShardPlan
+from repro.shard.executor import ShardWorkerError, ShardedExecutor, parse_shard_spec
+from repro.shard.plan import ShardPlan
 from repro.shard.pool import GLOBAL_POOL, WorkerPool, model_fingerprint
 from repro.shard.worker import ShardState, run_phase
 
 __all__ = [
     "GLOBAL_POOL",
-    "PipelinePlan",
-    "PipelinedExecutor",
     "ShardPlan",
     "ShardState",
     "ShardWorkerError",
     "ShardedExecutor",
     "WorkerPool",
     "model_fingerprint",
-    "parse_pipeline_spec",
     "parse_shard_spec",
     "run_phase",
 ]

@@ -1,30 +1,26 @@
-"""The ``shard-bench`` harness: parallel topology × driver × scenario grid.
+"""The ``shard-bench`` harness: shard count × driver × scenario grid.
 
-Two modes share one machinery.  ``--mode sharded`` (the default) sweeps
-tensor-shard counts: every grid cell serves one traffic scenario on a
-``sharded:N:driver`` backend.  ``--mode pipeline`` sweeps pipeline stage
-counts instead — ``pipeline:P[:driver]`` backends, optionally tensor-split
-within each stage (``--stage-shards N`` → ``pipeline:P+sharded:N``) — and
-additionally measures the persistent worker pool (cold fork vs warm
-attach).  In both modes the same (scenario, policy) is also served on the
-``reference`` backend and — via the single-shard / single-stage cell of
-each driver — on a twin that pays the full fan-out machinery with none of
-the parallelism.  Because the workloads are fully seeded, all rows of a
-(scenario, policy) group see literally identical traffic, so the artifact
-proves two things at once:
+Every grid cell serves one traffic scenario on a ``sharded:N:driver``
+backend.  The same (scenario, policy) is also served on the ``reference``
+backend and — via the ``N=1`` cell of each driver — on a twin that pays
+the full fan-out machinery with none of the split.  Because the workloads
+are fully seeded, all rows of a (scenario, policy) group see literally
+identical traffic, so the artifact proves two things at once:
 
 * **Exactness** — every row carries a ``token_digest`` checksum of its
   served streams; ``shard_comparison`` records per cell whether it
-  matches both the twin of its own driver (``tokens_match``) and the
-  reference backend (``tokens_match_reference``).  Partitioning may move
-  timings, never a token.
-* **Scaling** — ``tokens_per_second_ratio`` is each cell's throughput
-  relative to its twin: the honest measure of what tensor or pipeline
-  parallelism buys once the per-step fan-out cost is already paid.  The
-  ``process`` driver pays real IPC through shared-memory activation
-  rings; the ``sim`` driver isolates the algorithmic overlap ceiling.
+  matches the twin of its own driver (``tokens_match``) and the reference
+  backend (``tokens_match_reference``); a field is ``null`` when its
+  comparison row is not in the grid.  Sharding may move timings, never a
+  token.
+* **Scaling** — ``tokens_per_second_ratio`` is each cell's measured
+  wall-clock throughput relative to its twin.  The ``process`` driver
+  pays real IPC through shared-memory activation rings; the ``sim``
+  driver runs the shards one after another in-process.
 
-Results land in ``BENCH_shard.json`` / ``BENCH_pipeline.json``::
+When the ``process`` driver is in the grid the artifact also times the
+persistent worker pool (cold fork vs warm attach).  Results land in
+``BENCH_shard.json``::
 
     {
       "config":  {...},
@@ -32,12 +28,11 @@ Results land in ``BENCH_shard.json`` / ``BENCH_pipeline.json``::
       "shard_comparison": {
         "<scenario>/<policy>/<driver>": {
           "N=2": {"tokens_match": true, "tokens_match_reference": true,
-                   "tokens_per_second_ratio": ...},      # sharded mode
-          "P=2": {...}, "P=2xN=2": {...},                # pipeline mode
+                   "tokens_per_second_ratio": ...},
         }
       },
       "pool_reuse": {"cold_prepare_s": ..., "warm_prepare_s": ...,
-                      "speedup": ...}                     # pipeline mode
+                      "speedup": ...}                  # process driver only
     }
 
 Cells run through the experiment engine's scheduler like every other
@@ -58,21 +53,14 @@ from repro.serve.bench import (
     validate_scenarios,
     validate_tier,
 )
-from repro.shard.executor import DRIVERS, parse_pipeline_spec, parse_shard_spec
+from repro.shard.executor import DRIVERS, parse_shard_spec
 
-#: Bench modes: which parallel axis the grid sweeps.
-MODES = ("sharded", "pipeline")
-
-#: Shard counts benchmarked by default: the single-shard twin plus the
-#: counts a small host can still overlap profitably.
+#: Shard counts benchmarked by default: the single-shard twin plus two
+#: split widths.
 DEFAULT_SHARDS = (1, 2, 4)
 
-#: Pipeline stage counts benchmarked by default (the P=1 twin plus the
-#: deepest split every built-in model supports).
-DEFAULT_STAGES = (1, 2)
-
 #: Fan-out drivers benchmarked by default (``process`` first — it is the
-#: headline measurement; ``sim`` shows the overlap ceiling).
+#: headline measurement; ``sim`` runs the same split without IPC).
 DEFAULT_DRIVERS = ("process", "sim")
 
 #: Precision presets swept by default: the exact substrate plus the most
@@ -107,33 +95,6 @@ def validate_drivers(drivers) -> None:
             raise ValueError(
                 f"unknown shard driver {driver!r} (known: {known})"
             )
-
-
-def validate_stages(stages, num_layers=None) -> None:
-    """Reject stage counts the layer partition cannot serve."""
-    for p in stages:
-        p = int(p)
-        if p < 1:
-            raise ValueError(f"--stages entries must be >= 1, got {p}")
-        if num_layers is not None and p > num_layers:
-            raise ValueError(
-                f"--stages entry {p} exceeds the model's {num_layers} "
-                f"decoder layers (each stage needs at least one layer)"
-            )
-
-
-def pipeline_backend(
-    num_stages: int, num_shards: int = 1, driver: str = "sim",
-    pin: bool = False,
-) -> str:
-    """Canonical spec string for a pipeline topology."""
-    spec = f"pipeline:{int(num_stages)}"
-    if int(num_shards) > 1:
-        spec += f"+sharded:{int(num_shards)}"
-    spec += f":{driver}"
-    if pin:
-        spec += ":pin"
-    return spec
 
 
 def run_shard_cell(repeats: int = 3, **params) -> tuple[dict, str]:
@@ -180,37 +141,25 @@ def jobs(
     drivers=DEFAULT_DRIVERS,
     policies=DEFAULT_POLICIES,
     repeats: int = 3,
-    mode: str = "sharded",
-    stages=DEFAULT_STAGES,
-    stage_shards: int = 1,
     pin_workers: bool = False,
     **params,
 ) -> list[Job]:
     """One serve cell per (scenario, policy, backend).
 
     The backend axis is ``reference`` plus, per driver, ``sharded:N`` for
-    every ``N`` in ``shards`` (sharded mode) or ``pipeline:P`` for every
-    ``P`` in ``stages`` (pipeline mode, tensor-split by ``stage_shards``
-    within each stage); all cells of a (scenario, policy) group share seed
-    and traffic.  Each cell runs ``repeats`` times and reports its
+    every ``N`` in ``shards``; all cells of a (scenario, policy) group
+    share seed and traffic.  Each cell runs ``repeats`` times and reports its
     fastest repeat (see :func:`run_shard_cell`).  Extra ``params``
     (``model_name``, ``max_batch_size``, ``rate_scale``, ...) are
     forwarded into every cell and its cache key.
     """
     names = list(scenarios) if scenarios else list(DEFAULT_SCENARIOS)
     validate_scenarios(names)
-    if mode == "pipeline":
-        backends = ["reference"] + [
-            pipeline_backend(p, stage_shards, driver, pin_workers)
-            for driver in drivers
-            for p in stages
-        ]
-    else:
-        backends = ["reference"] + [
-            f"sharded:{int(n)}:{driver}" + (":pin" if pin_workers else "")
-            for driver in drivers
-            for n in shards
-        ]
+    backends = ["reference"] + [
+        f"sharded:{int(n)}:{driver}" + (":pin" if pin_workers else "")
+        for driver in drivers
+        for n in shards
+    ]
     declared = []
     for scenario in names:
         for policy in policies:
@@ -235,32 +184,35 @@ def jobs(
 
 
 def _parse_backend(backend: str):
-    """Grouping info for a parallel row, ``None`` for reference rows.
+    """Grouping info for a sharded row, ``None`` for reference rows.
 
     Returns ``(driver, label, is_twin)`` where ``label`` is the column
-    name in ``shard_comparison`` (``"N=2"``, ``"P=2"``, ``"P=2xN=2"``) and
-    ``is_twin`` marks the no-parallelism baseline of its driver group
-    (``N=1`` in sharded mode, ``P=1`` in pipeline mode).
+    name in ``shard_comparison`` (``"N=2"``) and ``is_twin`` marks the
+    ``N=1`` baseline of its driver group.
     """
     text = str(backend)
     if text.startswith("sharded:"):
         n, driver, _pin = parse_shard_spec(text)
         return driver, f"N={n}", n == 1
-    if text.startswith("pipeline:"):
-        p, n, driver, _pin = parse_pipeline_spec(text)
-        label = f"P={p}" + (f"xN={n}" if n > 1 else "")
-        return driver, label, p == 1
     return None
+
+
+def _digests_match(row, other):
+    """Digest equality with ``other``; ``None`` when it is not in the grid."""
+    if other is None:
+        return None
+    return row["token_digest"] == other["token_digest"]
 
 
 def shard_comparison(results: list[dict]) -> dict:
     """Digest equality and scaling per ``scenario/policy/driver`` group.
 
-    Each parallel row is compared against the twin of its own driver
-    (``N=1`` / ``P=1`` — same scenario, policy, seed: identical traffic
-    and identical fan-out machinery) and against the reference backend.
-    A ``False`` in either ``tokens_match`` field means the deterministic
-    partitioning broke bit-exactness, and the artifact itself proves it.
+    Each sharded row is compared against the twin of its own driver
+    (``N=1`` — same scenario, policy, seed: identical traffic and
+    identical fan-out machinery) and against the reference backend.  A
+    ``False`` in either ``tokens_match`` field means the deterministic
+    split broke bit-exactness, and the artifact itself proves it; ``None``
+    means the grid has no row to compare against.
     """
     reference = {
         (row["scenario"], row["policy"]): row
@@ -283,12 +235,8 @@ def shard_comparison(results: list[dict]) -> dict:
         twin_tps = twin["metrics"]["tokens_per_second"] if twin else None
         cell = f"{row['scenario']}/{row['policy']}/{driver}"
         comparison.setdefault(cell, {})[label] = {
-            "tokens_match": (
-                twin is not None and row["token_digest"] == twin["token_digest"]
-            ),
-            "tokens_match_reference": (
-                ref is not None and row["token_digest"] == ref["token_digest"]
-            ),
+            "tokens_match": _digests_match(row, twin),
+            "tokens_match_reference": _digests_match(row, ref),
             "tokens_per_second": row["metrics"]["tokens_per_second"],
             "twin_tokens_per_second": twin_tps,
             "tokens_per_second_ratio": (
@@ -303,7 +251,7 @@ def shard_comparison(results: list[dict]) -> dict:
 def measure_pool_reuse(
     model_name: str = DEFAULT_MODEL,
     policy: str = "fp64-ref",
-    backend: str = "pipeline:2:process",
+    backend: str = "sharded:2:process",
     seed: int = 0,
 ) -> dict:
     """Cold-fork vs warm-attach cost of the persistent worker pool.
@@ -361,7 +309,7 @@ def run_shard_bench(
     quick: bool = True,
     jobs_n: int = 1,
     seed: int = 0,
-    out_path: str | None = None,
+    out_path: str = "BENCH_shard.json",
     scenarios=None,
     shards=DEFAULT_SHARDS,
     drivers=DEFAULT_DRIVERS,
@@ -370,9 +318,6 @@ def run_shard_bench(
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
     rate_scale: float = DEFAULT_RATE_SCALE,
     repeats: int = 3,
-    mode: str = "sharded",
-    stages=DEFAULT_STAGES,
-    stage_shards: int = 1,
     pin_workers: bool = False,
     prefix_caching: bool = False,
     max_blocks: int | None = None,
@@ -385,43 +330,17 @@ def run_shard_bench(
     no_cache: bool = False,
     stream=None,
 ) -> tuple[dict, str]:
-    """Run the scenario × policy × (driver, topology) grid, write ``out_path``.
+    """Run the scenario × policy × (driver, shard count) grid, write ``out_path``.
 
-    ``mode="sharded"`` sweeps ``shards``; ``mode="pipeline"`` sweeps
-    ``stages`` (optionally ``stage_shards``-way tensor-split within each
-    stage) and appends the pool-reuse measurement when the ``process``
-    driver is in the grid.  ``out_path`` defaults per mode
-    (``BENCH_shard.json`` / ``BENCH_pipeline.json``).  Flag validation
-    mirrors ``serve-bench``: unknown scenarios, precision presets, shard
-    counts, stage counts, or drivers raise a ``ValueError`` before any
+    When the ``process`` driver is in the grid the pool-reuse measurement
+    (:func:`measure_pool_reuse` on ``sharded:2:process``) is appended.
+    Flag validation mirrors ``serve-bench``: unknown scenarios, precision
+    presets, shard counts, or drivers raise a ``ValueError`` before any
     job runs (the CLI turns them into one-line usage errors).
     """
-    from repro.nn.config import get_config
-
     stream = stream or sys.stdout
-    if mode not in MODES:
-        raise ValueError(
-            f"unknown --mode {mode!r} (known: {', '.join(MODES)})"
-        )
-    if out_path is None:
-        out_path = (
-            "BENCH_pipeline.json" if mode == "pipeline" else "BENCH_shard.json"
-        )
     shards = tuple(int(n) for n in shards)
-    stages = tuple(int(p) for p in stages)
-    stage_shards = int(stage_shards)
-    num_layers = get_config(model_name).num_layers
-    if mode == "pipeline":
-        validate_stages(stages, num_layers=num_layers)
-        validate_shards((stage_shards,))
-        for p in stages:
-            if p * stage_shards > 4:
-                raise ValueError(
-                    f"composed topology P={p} x N={stage_shards} exceeds the "
-                    f"supported worker budget (P*N <= 4)"
-                )
-    else:
-        validate_shards(shards)
+    validate_shards(shards)
     validate_drivers(drivers)
     validate_policies(policies)
     if scenarios:
@@ -446,7 +365,6 @@ def run_shard_bench(
     declared = jobs(
         quick=quick, seed=seed, scenarios=scenarios, shards=shards,
         drivers=drivers, policies=policies, repeats=int(repeats),
-        mode=mode, stages=stages, stage_shards=stage_shards,
         pin_workers=bool(pin_workers),
         model_name=model_name, max_batch_size=int(max_batch_size),
         rate_scale=float(rate_scale), **engine_params,
@@ -470,10 +388,7 @@ def run_shard_bench(
             "quick": bool(quick),
             "seed": int(seed),
             "scenarios": sorted({row["scenario"] for row in results}),
-            "mode": mode,
             "shards": list(shards),
-            "stages": list(stages),
-            "stage_shards": stage_shards,
             "pin_workers": bool(pin_workers),
             "drivers": list(drivers),
             "policies": list(policies),
@@ -491,14 +406,11 @@ def run_shard_bench(
         "results": results,
         "shard_comparison": comparison,
     }
-    if mode == "pipeline" and "process" in drivers:
-        deepest = max(stages)
+    if "process" in drivers:
         payload["pool_reuse"] = measure_pool_reuse(
             model_name=model_name,
             policy=policies[0],
-            backend=pipeline_backend(
-                deepest, stage_shards, "process", pin_workers
-            ),
+            backend="sharded:2:process" + (":pin" if pin_workers else ""),
             seed=seed,
         )
         lines.append(
@@ -513,12 +425,12 @@ def run_shard_bench(
         1
         for group in comparison.values()
         for cell in group.values()
-        if not (cell["tokens_match"] and cell["tokens_match_reference"])
+        if cell["tokens_match"] is False
+        or cell["tokens_match_reference"] is False
     )
-    kind = "pipeline" if mode == "pipeline" else "sharded"
     lines.append(
         f"digest mismatches: {mismatches} "
-        f"across {sum(len(g) for g in comparison.values())} {kind} cells"
+        f"across {sum(len(g) for g in comparison.values())} sharded cells"
     )
     lines.append(f"wrote {out_path}")
     text = "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Sharded execution backends: fan-out drivers and the executor seam.
+"""Sharded execution backend: fan-out drivers and the executor seam.
 
 :class:`ShardedExecutor` subclasses the compiled executor and rebinds the
 plan's linear providers — each layer's ``qkv``, ``out`` and ``ffn`` plus
@@ -11,44 +11,14 @@ Combined with the exactness arguments in
 reduce through the fixed-block summation tree), every forward is
 bit-identical to the unsharded model under every precision policy.
 
-:class:`PipelinedExecutor` layers pipeline parallelism on top: the
-decoder stack is split into P contiguous stages (optionally tensor-split
-into N shards *within* each stage, reusing the same fixed-order reduce),
-and each ragged step batch is split into M microbatches so stage ``s``
-can compute microbatch ``m`` while stage ``s+1`` computes ``m-1``.
-Stage compute is unchanged layer compute — hidden states hand off
-between stages driver-side, a no-op on the bytes — so pipelining is
-bit-exact structurally; microbatch row-splitting is bit-safe because
-``det_matmul`` computes every output row as an independent dot-product
-chain and every other op is per-row.
-
 ``process``-driver executors attach to the process-wide
 :data:`~repro.shard.pool.GLOBAL_POOL`: worker bundles are keyed by model
 fingerprint × topology and reused across engines, cluster replicas and
 bench repeats, with refcounted release via ``weakref.finalize``.
 
-Timing model (critical-path accounting)
----------------------------------------
-Logical shards share this host's cores, so raw wall time cannot show the
-overlap a real N-device deployment gets.  Both drivers therefore measure,
-per fan-out, the wall time ``wall`` of the whole exchange and each shard's
-self-measured compute ``t_i``, and charge the engine's virtual clock::
-
-    charge = max(max_t, wall - (sum_t - max_t))
-
-i.e. the slowest shard plus any wall time *not* explained by serialized
-shard compute (IPC, pickling, scheduling — costs a real deployment also
-pays).  On a genuinely parallel host ``wall`` approaches ``max_t`` and the
-credit vanishes; on a serialized host the formula recovers the
-critical path.  The pipelined executor adds a second, stage-level layer
-of the same idea: each (stage, microbatch) cell's charged time feeds the
-classic pipeline recurrence ``finish[s][m] = max(finish[s-1][m],
-finish[s][m-1]) + t[s][m]``, and the slack between serialized cell time
-and that critical path becomes additional overlap credit (cell charges
-already exclude the within-cell tensor credit, so nothing is counted
-twice).  The accumulated credit is drained by the serving engine through
-:meth:`ShardedExecutor.consume_overlap_credit`, mirroring the lockstep
-``max()`` clock the cluster router already uses across replicas.
+The serving engine charges a sharded step exactly what it measures on the
+host clock: logical shards share this host's cores, and no modeled
+overlap is subtracted.
 """
 
 from __future__ import annotations
@@ -63,27 +33,17 @@ import numpy as np
 
 from repro.nn.executor import CompiledExecutor
 from repro.nn.functional import DET_ATOMS, det_all_reduce
-from repro.shard.plan import PipelinePlan, ShardPlan
+from repro.shard.plan import ShardPlan
 from repro.shard.pool import GLOBAL_POOL, model_fingerprint
 from repro.shard.worker import _OutRing, run_phase, unflatten_result, worker_main
 
-__all__ = [
-    "PipelinedExecutor",
-    "ShardWorkerError",
-    "ShardedExecutor",
-    "parse_pipeline_spec",
-    "parse_shard_spec",
-]
+__all__ = ["ShardWorkerError", "ShardedExecutor", "parse_shard_spec"]
 
 #: Known fan-out drivers.
 DRIVERS = ("sim", "process")
 
 #: Seconds the driver waits on a worker reply before declaring it hung.
 WORKER_TIMEOUT_S = 60.0
-
-#: Default microbatch count of the pipelined executor (capped per step by
-#: the batch size; 1 disables interleaving).
-DEFAULT_MICROBATCHES = 2
 
 
 class ShardWorkerError(RuntimeError):
@@ -95,29 +55,8 @@ class ShardWorkerError(RuntimeError):
     """
 
 
-def _parse_driver_tail(parts, spec, usage):
-    """Shared ``[:driver][:pin]`` tail parsing for both spec grammars."""
-    pin = False
-    if parts and parts[-1] == "pin":
-        pin = True
-        parts = parts[:-1]
-    if len(parts) > 1:
-        raise ValueError(f"bad spec {spec!r}; {usage}")
-    driver = parts[0] if parts else "sim"
-    if driver not in DRIVERS:
-        raise ValueError(
-            f"unknown shard driver {driver!r} (known: {', '.join(DRIVERS)})"
-        )
-    return driver, pin
-
-
 _SHARD_USAGE = (
     "expected 'sharded:N[:driver][:pin]' with driver one of " + repr(DRIVERS)
-)
-_PIPELINE_USAGE = (
-    "expected 'pipeline:P[:driver][:pin]' or "
-    "'pipeline:P+sharded:N[:driver][:pin]' with driver one of "
-    + repr(DRIVERS)
 )
 
 
@@ -142,48 +81,22 @@ def parse_shard_spec(spec: str) -> tuple[int, str, bool]:
             f"shard count {num_shards} must divide DET_ATOMS={DET_ATOMS} "
             f"(valid: {valid})"
         )
-    driver, pin = _parse_driver_tail(parts[2:], spec, _SHARD_USAGE)
+    tail = parts[2:]
+    pin = bool(tail) and tail[-1] == "pin"
+    if pin:
+        tail = tail[:-1]
+    if len(tail) > 1:
+        raise ValueError(f"bad shard spec {spec!r}; {_SHARD_USAGE}")
+    driver = tail[0] if tail else "sim"
+    if driver not in DRIVERS:
+        raise ValueError(
+            f"unknown shard driver {driver!r} (known: {', '.join(DRIVERS)})"
+        )
     return num_shards, driver, pin
 
 
-def parse_pipeline_spec(spec: str) -> tuple[int, int, str, bool]:
-    """Parse a pipeline spec into ``(num_stages, num_shards, driver, pin)``.
-
-    Two grammars: plain ``"pipeline:P[:driver][:pin]"`` (whole layers per
-    stage) and composed ``"pipeline:P+sharded:N[:driver][:pin]"``
-    (tensor-split within each stage; driver and pin apply to the whole
-    topology).  Stage counts are any integer >= 1 — the layer-count bound
-    is model-dependent and checked at plan build.
-    """
-    text = str(spec)
-    head, _, rest = text.partition("+")
-    parts = head.split(":")
-    if parts[0] != "pipeline" or len(parts) < 2 or not parts[1]:
-        raise ValueError(f"bad pipeline spec {spec!r}; {_PIPELINE_USAGE}")
-    try:
-        num_stages = int(parts[1])
-    except ValueError:
-        raise ValueError(
-            f"bad stage count {parts[1]!r} in spec {spec!r}; expected an integer"
-        ) from None
-    if num_stages < 1:
-        raise ValueError(f"stage count must be >= 1, got {num_stages}")
-    if rest:
-        if len(parts) != 2:
-            raise ValueError(
-                f"bad pipeline spec {spec!r}; in the composed form the "
-                f"driver/pin suffix goes after the sharded half: "
-                f"{_PIPELINE_USAGE}"
-            )
-        num_shards, driver, pin = parse_shard_spec(rest)
-        return num_stages, num_shards, driver, pin
-    driver, pin = _parse_driver_tail(parts[2:], spec, _PIPELINE_USAGE)
-    return num_stages, 1, driver, pin
-
-
-def assign_worker_cpus(count: int, offset: int = 0) -> list[int | None]:
-    """Round-robin CPU ids for ``count`` workers (``offset`` shifts the
-    rotation so later pipeline stages land on different cores).
+def assign_worker_cpus(count: int) -> list[int | None]:
+    """Round-robin CPU ids for ``count`` workers.
 
     Returns all-``None`` with a warning on platforms without
     ``os.sched_setaffinity`` — pinning is opt-in best-effort, never a
@@ -199,23 +112,20 @@ def assign_worker_cpus(count: int, offset: int = 0) -> list[int | None]:
         )
         return [None] * count
     cpus = sorted(getaffinity(0))
-    return [cpus[(offset + i) % len(cpus)] for i in range(count)]
+    return [cpus[i % len(cpus)] for i in range(count)]
 
 
 class _SimDriver:
-    """In-process fan-out: a loop over shard states with per-shard timing."""
+    """In-process fan-out: a serial loop over the shard states."""
 
     def __init__(self, states) -> None:
         self.states = states
 
     def fanout(self, phase, layer, payloads):
-        results, times = [], []
-        wall_started = time.perf_counter()
-        for state, payload in zip(self.states, payloads):
-            started = time.perf_counter()
-            results.append(run_phase(state, phase, layer, payload))
-            times.append(time.perf_counter() - started)
-        return results, times, time.perf_counter() - wall_started
+        return [
+            run_phase(state, phase, layer, payload)
+            for state, payload in zip(self.states, payloads)
+        ]
 
     def close(self) -> None:
         self.states = []
@@ -273,25 +183,21 @@ class _ProcessDriver:
 
     Replies are read with a bounded poll: a worker that dies (or hangs
     past :data:`WORKER_TIMEOUT_S`) raises :class:`ShardWorkerError` naming
-    the failed shard/stage instead of blocking the driver forever.
+    the failed shard instead of blocking the driver forever.
 
-    ``pin=True`` assigns each worker a physical core round-robin
-    (``pin_offset`` staggers pipeline stages) which the worker applies via
-    ``os.sched_setaffinity`` on startup.
+    ``pin=True`` assigns each worker a physical core round-robin, which
+    the worker applies via ``os.sched_setaffinity`` on startup.
     """
 
-    def __init__(self, plan, label: str = "shard",
-                 pin: bool = False, pin_offset: int = 0) -> None:
+    def __init__(self, plan, pin: bool = False) -> None:
         import multiprocessing
         from multiprocessing import shared_memory
 
         ctx = multiprocessing.get_context("fork")
         self.conns, self.procs, self.segments = [], [], []
-        self.labels = [
-            f"{label} {config['index']}" for config in plan.configs
-        ]
+        self.labels = [f"shard {config['index']}" for config in plan.configs]
         self.pinned_cpus = (
-            assign_worker_cpus(len(plan.configs), pin_offset) if pin
+            assign_worker_cpus(len(plan.configs)) if pin
             else [None] * len(plan.configs)
         )
         self._payload_ring = _OutRing()
@@ -341,8 +247,6 @@ class _ProcessDriver:
         caller consumes them (concatenate / fixed-order reduce) before the
         next fan-out, which the lockstep protocol guarantees.
         """
-        if desc[0] == "pipe":
-            return desc[1]
         _, name, kind, manifest = desc
         seg = self._result_segs.get(name)
         if seg is None:
@@ -380,7 +284,6 @@ class _ProcessDriver:
             ) from None
 
     def fanout(self, phase, layer, payloads):
-        wall_started = time.perf_counter()
         # Pack each distinct payload buffer once (broadcast phases send the
         # same array object to every shard); non-float64 payloads fall back
         # to pipe pickling, which never happens on the current phase set.
@@ -403,12 +306,9 @@ class _ProcessDriver:
                 raise ShardWorkerError(
                     f"{self.labels[i]} worker connection failed: {exc}"
                 ) from None
-        results, times = [], []
-        for i in range(len(self.conns)):
-            desc, elapsed = self._recv(i)
-            results.append(self._read_result(desc))
-            times.append(elapsed)
-        return results, times, time.perf_counter() - wall_started
+        return [
+            self._read_result(self._recv(i)) for i in range(len(self.conns))
+        ]
 
     def close(self) -> None:
         self._finalizer()
@@ -441,57 +341,25 @@ class ShardedExecutor(CompiledExecutor):
             ":pin" if self.pin else ""
         )
         self._shard_plan = None
-        self._drivers: list | None = None
+        self._driver = None
         self._fingerprint: str | None = None
         self._plan_obj = None
-        self._credit = 0.0
-        self._credit_total = 0.0
         self._pool_key = None
         self._pool_release = None
         self._pool_reused = False
 
-    # -- topology hooks (PipelinedExecutor overrides these) ----------------
-    def _topology(self):
-        """Pool-key component describing the worker layout."""
-        return ("sharded", self.num_shards, self.pin)
-
-    def _make_plan(self):
-        return ShardPlan(self.model, self.num_shards)
-
-    def _stage_plans(self, shard_plan):
-        """``(label, plan_like)`` per driver group (one per pipeline stage)."""
-        return [("shard", shard_plan)]
-
-    def _route(self, phase, layer):
-        """The driver a fan-out goes to (stage routing in the subclass)."""
-        return self._drivers[0]
-
     # -- plan / driver lifecycle ------------------------------------------
-    def _make_drivers(self, shard_plan):
-        if self.driver_name == "sim":
-            if self.pin:
-                warnings.warn(
-                    "worker pinning has no effect on the in-process sim "
-                    "driver",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return [
-                _SimDriver(stage.states())
-                for _, stage in self._stage_plans(shard_plan)
-            ]
-        drivers, offset = [], 0
-        for label, stage in self._stage_plans(shard_plan):
-            drivers.append(
-                _ProcessDriver(stage, label=label, pin=self.pin,
-                               pin_offset=offset)
-            )
-            offset += len(stage.configs)
-        return drivers
-
     def _cold_build(self):
-        shard_plan = self._make_plan()
-        return shard_plan, self._make_drivers(shard_plan)
+        shard_plan = ShardPlan(self.model, self.num_shards)
+        if self.driver_name == "process":
+            return shard_plan, _ProcessDriver(shard_plan, pin=self.pin)
+        if self.pin:
+            warnings.warn(
+                "worker pinning has no effect on the in-process sim driver",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return shard_plan, _SimDriver(shard_plan.states())
 
     def _ensure_plan(self):
         plan = super()._ensure_plan()
@@ -499,19 +367,17 @@ class ShardedExecutor(CompiledExecutor):
         if self._shard_plan is None or self._fingerprint != fingerprint:
             self._teardown()
             if self.driver_name == "process":
-                key = (fingerprint, self._topology())
+                key = (fingerprint, self.num_shards, self.pin)
                 bundle, reused = GLOBAL_POOL.attach(key, self._cold_build)
                 self._shard_plan = bundle.plan
-                self._drivers = bundle.drivers
+                self._driver = bundle.driver
                 self._pool_key = key
                 self._pool_reused = reused
                 self._pool_release = weakref.finalize(
                     self, GLOBAL_POOL.release, key
                 )
             else:
-                shard_plan = self._make_plan()
-                self._shard_plan = shard_plan
-                self._drivers = self._make_drivers(shard_plan)
+                self._shard_plan, self._driver = self._cold_build()
             self._fingerprint = fingerprint
         if plan is not self._plan_obj:
             self._plan_obj = plan
@@ -549,10 +415,9 @@ class ShardedExecutor(CompiledExecutor):
             self._pool_release()  # refcount release; workers stay warm
             self._pool_release = None
             self._pool_key = None
-        elif self._drivers is not None:
-            for driver in self._drivers:
-                driver.close()
-        self._drivers = None
+        elif self._driver is not None:
+            self._driver.close()
+        self._driver = None
         self._shard_plan = None
         self._fingerprint = None
 
@@ -565,27 +430,16 @@ class ShardedExecutor(CompiledExecutor):
             self._pool_release.detach()
             self._pool_release = None
         self._pool_key = None
-        self._drivers = None
+        self._driver = None
         self._shard_plan = None
         self._fingerprint = None
 
-    # -- virtual-clock overlap credit -------------------------------------
-    def consume_overlap_credit(self) -> float:
-        """Seconds of shard compute hidden by overlap since the last call
-        (drained by ``ServeEngine.step_at`` to advance its virtual clock by
-        the sharded critical path instead of serialized host time)."""
-        credit = self._credit
-        self._credit = 0.0
-        return credit
-
     def runtime_stats(self) -> dict:
-        """Topology, pinning, pool and overlap counters for bench rows."""
-        pinned = []
-        for driver in self._drivers or []:
-            pinned.extend(
-                cpu for cpu in getattr(driver, "pinned_cpus", []) or []
-                if cpu is not None
-            )
+        """Topology, pinning and pool counters for bench rows."""
+        pinned = [
+            cpu for cpu in getattr(self._driver, "pinned_cpus", ())
+            if cpu is not None
+        ]
         return {
             "backend": self.name,
             "driver": self.driver_name,
@@ -596,23 +450,14 @@ class ShardedExecutor(CompiledExecutor):
             "pool": (
                 GLOBAL_POOL.stats() if self.driver_name == "process" else None
             ),
-            "overlap_credit_s": self._credit_total,
         }
 
     def _fanout(self, phase, layer, payloads):
         try:
-            results, times, wall = self._route(phase, layer).fanout(
-                phase, layer, payloads
-            )
+            return self._driver.fanout(phase, layer, payloads)
         except ShardWorkerError:
             self._poison()
             raise
-        longest, total = max(times), sum(times)
-        charge = max(longest, wall - (total - longest))
-        if wall > charge:
-            self._credit += wall - charge
-            self._credit_total += wall - charge
-        return results
 
     # -- sharded linear applications --------------------------------------
     def _qkv(self, layer, h):
@@ -648,143 +493,3 @@ class ShardedExecutor(CompiledExecutor):
         results = self._fanout("logits", 0, [hidden] * self.num_shards)
         return np.concatenate(results, axis=-1)
 
-
-class PipelinedExecutor(ShardedExecutor):
-    """Pipeline-parallel backend with microbatch interleaving.
-
-    The decoder stack splits into ``num_stages`` contiguous stages, each
-    tensor-split into ``num_shards`` workers (1 = whole layers).  The
-    ragged serving step splits its batch into up to ``microbatches``
-    row-ranges; the critical-path recurrence over per-(stage, microbatch)
-    cell times models stage ``s`` computing microbatch ``m`` while stage
-    ``s+1`` computes ``m-1``, and the hidden slack becomes overlap credit
-    drained from the serving clock.  Tokens are bit-identical to every
-    other backend: stage handoff and row-splitting never change a byte.
-    """
-
-    def __init__(self, model, num_stages: int, num_shards: int = 1,
-                 driver: str = "sim", pin: bool = False,
-                 microbatches: int = DEFAULT_MICROBATCHES) -> None:
-        super().__init__(model, num_shards, driver=driver, pin=pin)
-        self.num_stages = int(num_stages)
-        if self.num_stages < 1:
-            raise ValueError(
-                f"num_stages must be >= 1, got {self.num_stages}"
-            )
-        num_layers = len(model.blocks)
-        if self.num_stages > num_layers:
-            # Fail at construction (where benches can pre-flight it), not
-            # inside the first serving step.
-            raise ValueError(
-                f"pipeline stage count {self.num_stages} exceeds the "
-                f"model's {num_layers} decoder layers"
-            )
-        self.microbatches = int(microbatches)
-        if self.microbatches < 1:
-            raise ValueError(
-                f"microbatches must be >= 1, got {self.microbatches}"
-            )
-        name = f"pipeline:{self.num_stages}"
-        if self.num_shards > 1:
-            name += f"+sharded:{self.num_shards}"
-        self.name = name + f":{driver}" + (":pin" if self.pin else "")
-        self._pipeline_credit_total = 0.0
-        self._bubble_num = 0.0
-        self._bubble_den = 0.0
-
-    # -- topology hooks ----------------------------------------------------
-    def _topology(self):
-        return ("pipeline", self.num_stages, self.num_shards, self.pin)
-
-    def _make_plan(self):
-        return PipelinePlan(
-            self.model, self.num_stages, num_shards=self.num_shards
-        )
-
-    def _stage_plans(self, shard_plan):
-        return [
-            (f"stage {s} shard", stage)
-            for s, stage in enumerate(shard_plan.stages)
-        ]
-
-    def _route(self, phase, layer):
-        if phase == "logits":
-            return self._drivers[-1]
-        return self._drivers[self._shard_plan.stage_of[layer]]
-
-    def runtime_stats(self) -> dict:
-        stats = super().runtime_stats()
-        stats["num_stages"] = self.num_stages
-        stats["microbatches"] = self.microbatches
-        stats["pipeline_overlap_credit_s"] = self._pipeline_credit_total
-        stats["pipeline_bubble_fraction"] = (
-            self._bubble_num / self._bubble_den if self._bubble_den else 0.0
-        )
-        return stats
-
-    # -- the microbatched ragged step --------------------------------------
-    def forward_ragged(self, token_ids, caches, new_lens, last_only=True,
-                       last_k=1):
-        plan = self._ensure_plan()
-        # Embedding (driver-side, with stage 0) runs on the full batch:
-        # it is per-row, so splitting it would change nothing.
-        hidden, caches, lens, raw_ok, ctx = self._ragged_prologue(
-            plan, token_ids, caches, new_lens, last_k
-        )
-        batch, max_new = hidden.shape[:2]
-        bounds = self._shard_plan.layer_bounds
-        num_stages = self.num_stages
-        micro = max(1, min(self.microbatches, batch))
-        rows = [(m * batch) // micro for m in range(micro + 1)]
-        k = last_k if last_only else max_new
-        out = np.empty((batch, k, plan.vocab_size), dtype=np.float64)
-        times = [[0.0] * micro for _ in range(num_stages)]
-        for m in range(micro):
-            lo, hi = rows[m], rows[m + 1]
-            h_m = hidden[lo:hi]
-            lens_m = lens[lo:hi]
-            ctx_m = ctx[lo:hi]
-            for s in range(num_stages):
-                # Cell time charged to the pipeline recurrence: wall minus
-                # the within-cell tensor-fanout credit already accrued, so
-                # stage- and shard-level overlap never double-count.
-                credit_before = self._credit
-                started = time.perf_counter()
-                for i in range(bounds[s], bounds[s + 1]):
-                    views = [caches[r].layers[i] for r in range(lo, hi)]
-                    h_m = self._block(
-                        plan, plan.layers[i], h_m,
-                        partial(self._attend_ragged, plan, views, lens_m,
-                                ctx_m, raw_ok),
-                    )
-                if s == num_stages - 1:
-                    h_last = plan.final_norm(h_m)
-                    if last_only:
-                        h_last = h_last[:, -last_k:, :]
-                    out[lo:hi] = self._logits(h_last)
-                wall = time.perf_counter() - started
-                times[s][m] = max(0.0, wall - (self._credit - credit_before))
-
-        if num_stages > 1 and micro > 1:
-            # finish[s][m] = max(finish[s-1][m], finish[s][m-1]) + t[s][m]:
-            # stage s starts microbatch m once the previous stage hands it
-            # off and its own previous microbatch is done.
-            finish = [[0.0] * micro for _ in range(num_stages)]
-            for m in range(micro):
-                for s in range(num_stages):
-                    upstream = finish[s - 1][m] if s else 0.0
-                    own_prev = finish[s][m - 1] if m else 0.0
-                    finish[s][m] = max(upstream, own_prev) + times[s][m]
-            total = sum(sum(row) for row in times)
-            path = finish[num_stages - 1][micro - 1]
-            credit = max(0.0, total - path)
-            self._credit += credit
-            self._credit_total += credit
-            self._pipeline_credit_total += credit
-            if path > 0.0:
-                # Bubble: idle stage-time under the critical-path schedule
-                # (P*path is the schedule's stage-seconds, total the busy
-                # ones).
-                self._bubble_num += max(0.0, num_stages * path - total)
-                self._bubble_den += num_stages * path
-        return out

@@ -187,94 +187,3 @@ class ShardPlan:
             for config, arrays in zip(self.configs, self.arrays)
         ]
 
-
-def stage_layer_bounds(num_layers: int, num_stages: int) -> tuple[int, ...]:
-    """Contiguous stage split points ``[(s*L)//P for s in 0..P]``.
-
-    Strictly increasing (every stage owns at least one layer) whenever
-    ``P <= L``.
-    """
-    return tuple((s * num_layers) // num_stages for s in range(num_stages + 1))
-
-
-class _StagePlan:
-    """One pipeline stage's per-shard configs and weight slices.
-
-    Duck-types the driver-facing surface of :class:`ShardPlan`
-    (``configs`` / ``arrays`` / ``states()``) so the sim and process
-    drivers run a stage exactly like a whole tensor-sharded model; layer
-    keys keep their *global* indices and :class:`ShardState` simply holds
-    ``None`` for layers other stages own.
-    """
-
-    def __init__(self, configs, arrays) -> None:
-        self.configs = configs
-        self.arrays = arrays
-
-    def states(self) -> list[ShardState]:
-        return [
-            ShardState(config, arrays)
-            for config, arrays in zip(self.configs, self.arrays)
-        ]
-
-
-class PipelinePlan:
-    """Layer-wise partition of a (possibly tensor-sharded) model.
-
-    The decoder layer stack is split into ``num_stages`` contiguous
-    stages at :func:`stage_layer_bounds`; within each stage the weights
-    are the ordinary :class:`ShardPlan` tensor split over ``num_shards``
-    (``num_shards=1`` gives whole-layer slices).  Embedding, norms,
-    attention and the KV cache stay driver-side exactly as in the tensor
-    plan; the tied logits projection lives only on the last stage.
-
-    Stage compute is *unchanged* layer compute, merely partitioned, so
-    pipelining is bit-exact by the same arguments as tensor sharding —
-    hidden states hand off between stages through the driver, which is a
-    no-op on the bytes.
-    """
-
-    def __init__(self, model, num_stages: int, num_shards: int = 1) -> None:
-        num_stages = int(num_stages)
-        num_layers = len(model.blocks)
-        if num_stages < 1:
-            raise ValueError(f"num_stages must be >= 1, got {num_stages}")
-        if num_stages > num_layers:
-            raise ValueError(
-                f"num_stages {num_stages} exceeds the model's {num_layers} "
-                f"decoder layers (each stage needs at least one layer)"
-            )
-        base = ShardPlan(model, num_shards)
-        bounds = stage_layer_bounds(num_layers, num_stages)
-        self.num_stages = num_stages
-        self.num_shards = base.num_shards
-        self.layer_bounds = bounds
-        self.passthrough = base.passthrough
-        self.accum = base.accum
-        self.act = base.act
-        self.out_biases = base.out_biases
-        self.fc2_biases = base.fc2_biases
-        self.embed_bounds = base.embed_bounds
-        self.version = None
-        #: Stage index per decoder layer (the executor's fan-out routing).
-        self.stage_of = tuple(
-            next(s for s in range(num_stages) if bounds[s] <= i < bounds[s + 1])
-            for i in range(num_layers)
-        )
-        self.stages: list[_StagePlan] = []
-        for s in range(num_stages):
-            lo, hi = bounds[s], bounds[s + 1]
-            configs, arrays = [], []
-            for config, shard_arrays in zip(base.configs, base.arrays):
-                cfg = dict(config)
-                cfg["stage"] = s
-                sub = {}
-                for key, arr in shard_arrays.items():
-                    if key == "logits_w":
-                        if s == num_stages - 1:
-                            sub[key] = arr
-                    elif lo <= int(key.split(".", 1)[0][1:]) < hi:
-                        sub[key] = arr
-                configs.append(cfg)
-                arrays.append(sub)
-            self.stages.append(_StagePlan(configs, arrays))

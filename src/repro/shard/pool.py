@@ -6,7 +6,7 @@ and it is pure waste when a cluster router builds R replica engines over
 the *same* model, or a benchmark runs repeat cells back to back.  The
 :data:`GLOBAL_POOL` keeps warm worker bundles keyed by **content** (a
 checksum of the model's config, policy and parameter bytes) × **topology**
-(shard/stage counts, pinning), so any executor whose model would produce
+(shard count, pinning), so any executor whose model would produce
 byte-identical weight slices attaches to the existing workers instead of
 re-forking.
 
@@ -72,14 +72,14 @@ def model_fingerprint(model) -> str:
 
 
 class PoolEntry:
-    """One warm bundle: the shard/pipeline plan plus its live drivers."""
+    """One warm bundle: the shard plan plus its live fan-out driver."""
 
-    __slots__ = ("key", "plan", "drivers", "refs", "broken")
+    __slots__ = ("key", "plan", "driver", "refs", "broken")
 
-    def __init__(self, key, plan, drivers) -> None:
+    def __init__(self, key, plan, driver) -> None:
         self.key = key
         self.plan = plan
-        self.drivers = list(drivers)
+        self.driver = driver
         self.refs = 1
         self.broken = False
 
@@ -97,7 +97,7 @@ class WorkerPool:
     def attach(self, key, factory) -> tuple[PoolEntry, bool]:
         """Return ``(entry, reused)`` for ``key``, building via ``factory``.
 
-        ``factory()`` must return ``(plan, drivers)`` and is only called on
+        ``factory()`` must return ``(plan, driver)`` and is only called on
         a cold (or poisoned) key.  The caller owns one reference and must
         eventually :meth:`release` it.
         """
@@ -111,8 +111,8 @@ class WorkerPool:
             self._entries.move_to_end(key)
             self.attach_reused += 1
             return entry, True
-        plan, drivers = factory()
-        entry = PoolEntry(key, plan, drivers)
+        plan, driver = factory()
+        entry = PoolEntry(key, plan, driver)
         self._entries[key] = entry
         self.forked += 1
         self._evict()
@@ -160,12 +160,12 @@ class WorkerPool:
 
     @staticmethod
     def _close(entry: PoolEntry) -> None:
-        for driver in entry.drivers:
+        if entry.driver is not None:
             try:
-                driver.close()
+                entry.driver.close()
             except Exception:  # noqa: BLE001 - teardown must not cascade
                 pass
-        entry.drivers = []
+        entry.driver = None
 
 
 #: The process-wide pool every ``process``-driver executor attaches to.

@@ -27,7 +27,6 @@ Exactness per phase (vs the unsharded compiled plan):
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -79,12 +78,11 @@ class ShardState:
     shared-memory segment).
     """
 
-    __slots__ = ("index", "num_shards", "passthrough", "accum", "act",
+    __slots__ = ("num_shards", "passthrough", "accum", "act",
                  "layers", "logits_w", "embed_dim", "ffn_dim",
                  "out_lo", "ffn_lo")
 
     def __init__(self, config, arrays):
-        self.index = config["index"]
         self.num_shards = config["num_shards"]
         self.passthrough = config["passthrough"]
         self.accum = make_caster(config["accum_fmt"])
@@ -100,22 +98,9 @@ class ShardState:
         # rows: re-transposing reproduces the exact stride class of the
         # tied ``E.T`` view the unsharded plan binds, which einsum's
         # kernel selection (hence the accumulation bit pattern) depends on.
-        # Non-final pipeline stages own no logits slice at all.
-        self.logits_w = arrays.get("logits_w")
-        if self.logits_w is not None and config["logits_t"]:
+        self.logits_w = arrays["logits_w"]
+        if config["logits_t"]:
             self.logits_w = self.logits_w.T
-
-    def named_arrays(self):
-        """Flat ``(key, array)`` list for shared-memory packing."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in _ShardLayer.__slots__:
-                arr = getattr(layer, name)
-                if arr is not None:
-                    out.append((f"L{i}.{name}", arr))
-        if self.logits_w is not None:
-            out.append(("logits_w", self.logits_w))
-        return out
 
 
 def _linear(state, x, w, b):
@@ -170,11 +155,6 @@ def run_phase(state, phase, layer, payload):
         )
         return _prefix_presum(parts, state.ffn_lo)
     if phase == "logits":
-        if state.logits_w is None:
-            raise ValueError(
-                f"shard {state.index} holds no logits slice "
-                f"(only the final pipeline stage serves the logits phase)"
-            )
         out = det_matmul(payload, state.logits_w)
         if state.passthrough:
             return out
@@ -265,10 +245,8 @@ def worker_main(conn, shm_name, manifest, config):
     the response header points into this worker's own result ring.  Only
     the small headers are pickled over the pipe.
 
-    Each step is answered with ``(desc, elapsed_seconds)`` where
-    ``elapsed`` covers only the shard's own compute (the driver separately
-    measures wall time to derive the overlap credit).  ``("close",)`` ends
-    the loop.
+    Each step is answered with the result header alone; ``("close",)``
+    ends the loop.
     """
     from multiprocessing import shared_memory
 
@@ -306,12 +284,10 @@ def worker_main(conn, shm_name, manifest, config):
                                      buffer=seg.buf, offset=offset)
             else:
                 payload = desc[1]
-            started = time.perf_counter()
             result = run_phase(state, phase, layer, payload)
-            elapsed = time.perf_counter() - started
             kind, parts = flatten_result(result)
             seg_name, out_manifest = ring.write(parts)
-            conn.send((("shm", seg_name, kind, out_manifest), elapsed))
+            conn.send(("shm", seg_name, kind, out_manifest))
     except EOFError:
         pass  # driver went away without a close handshake
     finally:

@@ -87,37 +87,6 @@ class TestJobs:
         with pytest.raises(ValueError, match="unknown scenario"):
             jobs(scenarios=("no-such-mix",))
 
-    def test_pipeline_mode_grid_declaration(self):
-        declared = jobs(
-            quick=True,
-            scenarios=("steady",),
-            mode="pipeline",
-            stages=(1, 2),
-            drivers=("process",),
-            policies=("fp64-ref",),
-        )
-        names = {job.name for job in declared}
-        assert "shard[steady/fp64-ref/reference]" in names
-        assert "shard[steady/fp64-ref/pipeline:1:process]" in names
-        assert "shard[steady/fp64-ref/pipeline:2:process]" in names
-
-    def test_pipeline_mode_composed_and_pinned_backends(self):
-        declared = jobs(
-            quick=True,
-            scenarios=("steady",),
-            mode="pipeline",
-            stages=(2,),
-            stage_shards=2,
-            pin_workers=True,
-            drivers=("process",),
-            policies=("fp64-ref",),
-        )
-        names = {job.name for job in declared}
-        assert (
-            "shard[steady/fp64-ref/pipeline:2+sharded:2:process:pin]" in names
-        )
-
-
 class TestShardComparison:
     def test_ratios_and_digest_flags(self):
         rows = [
@@ -135,6 +104,16 @@ class TestShardComparison:
         assert group["N=4"]["tokens_match_reference"] is False
         assert group["N=1"]["tokens_per_second_ratio"] == pytest.approx(1.0)
 
+    def test_missing_twin_is_null_not_a_mismatch(self):
+        rows = [
+            fake_row("steady", "fp64-ref", "reference", 100.0, "ok"),
+            fake_row("steady", "fp64-ref", "sharded:2:sim", 150.0, "ok"),
+        ]
+        cell = shard_comparison(rows)["steady/fp64-ref/sim"]["N=2"]
+        assert cell["tokens_match"] is None
+        assert cell["tokens_match_reference"] is True
+        assert cell["tokens_per_second_ratio"] is None
+
     def test_drivers_compare_against_their_own_twin(self):
         rows = [
             fake_row("steady", "fp64-ref", "reference", 100.0, "ok"),
@@ -147,22 +126,39 @@ class TestShardComparison:
             "tokens_per_second_ratio"
         ] == pytest.approx(1.5)
 
-    def test_pipeline_rows_compare_against_single_stage_twin(self):
-        rows = [
-            fake_row("steady", "fp64-ref", "reference", 100.0, "ok"),
-            fake_row("steady", "fp64-ref", "pipeline:1:process", 100.0, "ok"),
-            fake_row("steady", "fp64-ref", "pipeline:2:process", 130.0, "ok"),
-            fake_row(
-                "steady", "fp64-ref", "pipeline:2+sharded:2:process",
-                140.0, "ok",
-            ),
-        ]
-        comp = shard_comparison(rows)
-        group = comp["steady/fp64-ref/process"]
-        assert group["P=2"]["tokens_per_second_ratio"] == pytest.approx(1.3)
-        assert group["P=2"]["tokens_match"] is True
-        assert group["P=2xN=2"]["tokens_per_second_ratio"] == pytest.approx(1.4)
-        assert group["P=2xN=2"]["tokens_match_reference"] is True
+class TestRunShardBench:
+    def test_grid_without_twin_reports_no_mismatch(self, tmp_path):
+        payload, text = shard_bench.run_shard_bench(
+            quick=True, shards=(2,), drivers=("sim",), scenarios=("steady",),
+            policies=("fp64-ref",), model_name="opt-test", repeats=1,
+            out_path=str(tmp_path / "x.json"),
+        )
+        cell = payload["shard_comparison"]["steady/fp64-ref/sim"]["N=2"]
+        assert cell["tokens_match"] is None
+        assert cell["tokens_match_reference"] is True
+        assert "digest mismatches: 0 across 1 sharded cells" in text
+        assert "pool_reuse" not in payload
+
+    def test_process_driver_times_pool_reuse(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_pool_reuse(**kwargs):
+            calls.append(kwargs)
+            return {"cold_prepare_s": 0.2, "warm_prepare_s": 0.1, "speedup": 2.0}
+
+        monkeypatch.setattr(shard_bench, "measure_pool_reuse", fake_pool_reuse)
+        monkeypatch.setattr(shard_bench, "run_jobs", lambda *a, **k: [])
+        payload, text = shard_bench.run_shard_bench(
+            drivers=("process",), out_path=str(tmp_path / "x.json"),
+        )
+        assert calls and calls[0]["backend"] == "sharded:2:process"
+        assert payload["pool_reuse"]["speedup"] == 2.0
+        assert "pool reuse" in text
+
+    def test_pool_reuse_attaches_warm(self):
+        reuse = shard_bench.measure_pool_reuse(model_name="opt-test")
+        assert reuse["backend"] == "sharded:2:process"
+        assert reuse["warm_attach_reused"] is True
 
 
 class TestValidation:
@@ -178,34 +174,6 @@ class TestValidation:
             shard_bench.run_shard_bench(
                 shards=(5,), out_path=str(tmp_path / "x.json")
             )
-
-    def test_run_shard_bench_rejects_unknown_mode(self, tmp_path):
-        with pytest.raises(ValueError, match="--mode"):
-            shard_bench.run_shard_bench(
-                mode="tensor", out_path=str(tmp_path / "x.json")
-            )
-
-    def test_pipeline_mode_rejects_oversized_stage_count(self, tmp_path):
-        with pytest.raises(ValueError, match="decoder layers"):
-            shard_bench.run_shard_bench(
-                mode="pipeline", stages=(1, 99), model_name="opt-test",
-                out_path=str(tmp_path / "x.json"),
-            )
-
-    def test_pipeline_mode_rejects_oversized_composed_topology(self, tmp_path):
-        with pytest.raises(ValueError, match="P\\*N"):
-            shard_bench.run_shard_bench(
-                mode="pipeline", stages=(2,), stage_shards=4,
-                model_name="opt-test", out_path=str(tmp_path / "x.json"),
-            )
-
-    def test_pipeline_mode_rejects_bad_stage_shards(self, tmp_path):
-        with pytest.raises(ValueError, match="DET_ATOMS"):
-            shard_bench.run_shard_bench(
-                mode="pipeline", stage_shards=5, model_name="opt-test",
-                out_path=str(tmp_path / "x.json"),
-            )
-
 
 class TestCLIGuards:
     """Flag mistakes exit with one-line usage errors, not tracebacks."""
@@ -266,72 +234,30 @@ class TestCLIGuards:
             ])
         assert "one weight per replica" in str(excinfo.value)
 
-    def test_bad_stages_list_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "shard-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--mode", "pipeline", "--stages", "1,two",
-            ])
-        assert "--stages" in str(excinfo.value)
-
-    def test_oversized_stage_count_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "shard-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--mode", "pipeline", "--stages", "1,99",
-                "--model", "opt-test",
-            ])
-        assert str(excinfo.value).startswith("shard-bench:")
-        assert "decoder layers" in str(excinfo.value)
-
+    @pytest.mark.parametrize("command", ["serve-bench", "cluster-bench"])
     @pytest.mark.parametrize(
-        "spec",
-        ["pipeline:0", "pipeline:2:gpu", "pipeline:2+sharded:5"],
+        ("spec", "fragment"),
+        [
+            ("pipeline:2", "known: compiled, reference, sharded:N"),
+            ("sharded:5", "DET_ATOMS"),
+            ("sharded:2:gpu", "unknown shard driver"),
+        ],
     )
-    def test_serve_bench_bad_pipeline_spec_is_usage_error(self, tmp_path, spec):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--backend", spec,
-            ])
-        assert str(excinfo.value).startswith("serve-bench:")
-
-    def test_serve_bench_oversized_stage_count_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        # serve-bench cells run opt-test (2 decoder layers).
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--backend", "pipeline:99",
-            ])
-        assert "decoder layers" in str(excinfo.value)
-
-    @pytest.mark.parametrize(
-        "spec", ["pipeline:0", "pipeline:2:gpu", "pipeline:99"]
-    )
-    def test_cluster_bench_bad_pipeline_spec_is_usage_error(
-        self, tmp_path, spec
+    def test_bad_backend_spec_is_usage_error(
+        self, tmp_path, command, spec, fragment
     ):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "cluster-bench", "--quick",
+                command, "--quick",
                 "--out", str(tmp_path / "x.json"),
                 "--backend", spec,
             ])
-        assert str(excinfo.value).startswith("cluster-bench:")
+        message = str(excinfo.value)
+        assert message.startswith(f"{command}:")
+        assert "\n" not in message
+        assert fragment in message
 
     def test_serve_bench_bad_repeats_is_usage_error(self, tmp_path):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""Shard/pipeline spec parsing, backend validation, and plan guards."""
+"""Shard spec parsing, backend validation, and plan guards."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,9 @@ from repro.nn.config import get_config
 from repro.nn.executor import resolve_executor, validate_backend
 from repro.nn.functional import DET_ATOMS
 from repro.nn.model import OPTLanguageModel
-from repro.shard import (
-    PipelinePlan,
-    PipelinedExecutor,
-    ShardPlan,
-    ShardedExecutor,
-    parse_pipeline_spec,
-    parse_shard_spec,
-)
-from repro.shard.bench import validate_drivers, validate_shards, validate_stages
-from repro.shard.plan import shard_bounds, stage_layer_bounds
+from repro.shard import ShardPlan, ShardedExecutor, parse_shard_spec
+from repro.shard.bench import validate_drivers, validate_shards
+from repro.shard.plan import shard_bounds
 
 
 def make_model(policy=None):
@@ -57,71 +50,22 @@ class TestParseShardSpec:
             parse_shard_spec("sharded:2:threads")
 
 
-class TestParsePipelineSpec:
-    def test_defaults(self):
-        assert parse_pipeline_spec("pipeline:2") == (2, 1, "sim", False)
-
-    def test_single_stage_is_valid(self):
-        assert parse_pipeline_spec("pipeline:1:process") == (
-            1, 1, "process", False,
-        )
-
-    def test_driver_and_pin(self):
-        assert parse_pipeline_spec("pipeline:2:process:pin") == (
-            2, 1, "process", True,
-        )
-
-    def test_composed_with_sharded(self):
-        assert parse_pipeline_spec("pipeline:2+sharded:2:process") == (
-            2, 2, "process", False,
-        )
-        assert parse_pipeline_spec("pipeline:2+sharded:2:process:pin") == (
-            2, 2, "process", True,
-        )
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "pipeline", "pipeline:", "pipeline:x", "pipeline:0",
-            "pipeline:-1", "pipeline:2:gpu",
-            # driver/pin must follow the sharded half in the composed form
-            "pipeline:2:process+sharded:2",
-            "pipeline:2+sharded:5",      # non-divisor tensor split
-            "pipeline:2+sharded:2:gpu",
-            "pipeline:2+pipeline:2",     # only sharded composes
-        ],
-    )
-    def test_malformed_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
-            parse_pipeline_spec(spec)
-
-
 class TestValidateBackend:
     @pytest.mark.parametrize(
         "spec",
         ["reference", "compiled", "sharded:2", "sharded:12:process",
-         "pipeline:2", "pipeline:1:process", "pipeline:2+sharded:2:sim",
-         "pipeline:2:process:pin"],
+         "sharded:2:process:pin"],
     )
     def test_accepts_known_backends(self, spec):
         validate_backend(spec)
 
     @pytest.mark.parametrize(
         "spec",
-        ["nonsense", "sharded:5", "sharded:2:gpu", "pipeline:0",
-         "pipeline:2:gpu", "pipeline:2+sharded:5"],
+        ["nonsense", "sharded:5", "sharded:2:gpu", "pipeline:2"],
     )
     def test_rejects_unknown_backends(self, spec):
         with pytest.raises(ValueError):
             validate_backend(spec)
-
-    def test_stage_count_checked_against_model_depth(self):
-        num_layers = get_config("opt-test").num_layers
-        validate_backend(f"pipeline:{num_layers}", num_layers=num_layers)
-        with pytest.raises(ValueError, match="decoder layers"):
-            validate_backend(
-                f"pipeline:{num_layers + 1}", num_layers=num_layers
-            )
 
     def test_resolve_builds_sharded_executor(self):
         executor = resolve_executor("sharded:3:sim", make_model())
@@ -131,20 +75,9 @@ class TestValidateBackend:
         finally:
             executor.close()
 
-    def test_resolve_builds_pipelined_executor(self):
-        executor = resolve_executor("pipeline:2+sharded:2:sim", make_model())
-        try:
-            assert isinstance(executor, PipelinedExecutor)
-            assert executor.num_stages == 2
-            assert executor.num_shards == 2
-            assert executor.name == "pipeline:2+sharded:2:sim"
-        finally:
-            executor.close()
-
-    def test_resolve_rejects_stages_beyond_model_depth(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="decoder layers"):
-            resolve_executor(f"pipeline:{len(model.blocks) + 1}:sim", model)
+    def test_resolve_rejects_retired_pipeline_spec(self):
+        with pytest.raises(KeyError, match="unknown execution backend"):
+            resolve_executor("pipeline:2", make_model())
 
 
 class TestBenchValidators:
@@ -159,13 +92,6 @@ class TestBenchValidators:
         validate_drivers(["sim", "process"])
         with pytest.raises(ValueError, match="driver"):
             validate_drivers(["sim", "mpi"])
-
-    def test_validate_stages(self):
-        validate_stages([1, 2], num_layers=2)
-        with pytest.raises(ValueError, match=">= 1"):
-            validate_stages([0])
-        with pytest.raises(ValueError, match="decoder layers"):
-            validate_stages([3], num_layers=2)
 
 
 class TestShardPlan:
@@ -205,52 +131,3 @@ class TestShardPlan:
         assert len(plan.states()) == 4
         assert len(plan.configs) == 4
 
-
-class TestPipelinePlan:
-    def test_stage_bounds_cover_stack_contiguously(self):
-        for layers in (2, 3, 12, 24):
-            for stages in (1, 2, 3):
-                if stages > layers:
-                    continue
-                bounds = stage_layer_bounds(layers, stages)
-                assert bounds[0] == 0 and bounds[-1] == layers
-                # every stage owns at least one layer
-                assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
-
-    def test_stage_count_beyond_depth_rejected(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="decoder layers"):
-            PipelinePlan(model, len(model.blocks) + 1)
-
-    def test_non_positive_stage_count_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            PipelinePlan(make_model(), 0)
-
-    def test_logits_slice_lives_only_on_last_stage(self):
-        model = make_model()
-        plan = PipelinePlan(model, 2, num_shards=2)
-        assert len(plan.stages) == 2
-        for stage_index, stage in enumerate(plan.stages):
-            for arrays in stage.arrays:
-                has_logits = "logits_w" in arrays
-                assert has_logits == (stage_index == len(plan.stages) - 1)
-
-    def test_stage_arrays_partition_layer_keys(self):
-        model = make_model()
-        plan = PipelinePlan(model, 2)
-        bounds = plan.layer_bounds
-        for s, stage in enumerate(plan.stages):
-            for arrays in stage.arrays:
-                layers = {
-                    int(key.split(".", 1)[0][1:])
-                    for key in arrays
-                    if key != "logits_w"
-                }
-                assert layers == set(range(bounds[s], bounds[s + 1]))
-
-    def test_stage_of_routes_every_layer(self):
-        model = make_model()
-        plan = PipelinePlan(model, 2)
-        assert len(plan.stage_of) == len(model.blocks)
-        for i, s in enumerate(plan.stage_of):
-            assert plan.layer_bounds[s] <= i < plan.layer_bounds[s + 1]

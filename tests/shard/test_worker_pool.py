@@ -1,7 +1,5 @@
 """Worker-pool lifecycle, dead-worker robustness, and CPU pinning."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -56,7 +54,7 @@ class TestWorkerPool:
 
         def factory():
             built.append(1)
-            return object(), [_FakeDriver()]
+            return object(), _FakeDriver()
 
         entry1, reused1 = pool.attach("k", factory)
         entry2, reused2 = pool.attach("k", factory)
@@ -70,38 +68,38 @@ class TestWorkerPool:
 
     def test_release_keeps_bundle_warm(self):
         pool = WorkerPool()
-        entry, _ = pool.attach("k", lambda: (object(), [_FakeDriver()]))
+        entry, _ = pool.attach("k", lambda: (object(), _FakeDriver()))
         pool.release("k")
         assert entry.refs == 0
-        assert not entry.drivers[0].closed
-        _, reused = pool.attach("k", lambda: (object(), [_FakeDriver()]))
+        assert not entry.driver.closed
+        _, reused = pool.attach("k", lambda: (object(), _FakeDriver()))
         assert reused is True
 
     def test_discard_closes_drivers(self):
         pool = WorkerPool()
-        entry, _ = pool.attach("k", lambda: (object(), [_FakeDriver()]))
-        driver = entry.drivers[0]
+        entry, _ = pool.attach("k", lambda: (object(), _FakeDriver()))
+        driver = entry.driver
         pool.discard("k")
         assert driver.closed
-        _, reused = pool.attach("k", lambda: (object(), [_FakeDriver()]))
+        _, reused = pool.attach("k", lambda: (object(), _FakeDriver()))
         assert reused is False
 
     def test_lru_eviction_spares_referenced_bundles(self):
         pool = WorkerPool(capacity=1)
-        held, _ = pool.attach("held", lambda: (object(), [_FakeDriver()]))
-        idle, _ = pool.attach("idle", lambda: (object(), [_FakeDriver()]))
+        held, _ = pool.attach("held", lambda: (object(), _FakeDriver()))
+        idle, _ = pool.attach("idle", lambda: (object(), _FakeDriver()))
         pool.release("idle")
         # A third attach pushes past capacity: the idle bundle goes, the
         # referenced one stays.
-        pool.attach("new", lambda: (object(), [_FakeDriver()]))
-        assert idle.drivers == []
-        assert held.drivers and not held.drivers[0].closed
+        pool.attach("new", lambda: (object(), _FakeDriver()))
+        assert idle.driver is None
+        assert held.driver is not None and not held.driver.closed
         pool.clear()
 
     def test_clear_closes_everything(self):
         pool = WorkerPool()
-        entry, _ = pool.attach("k", lambda: (object(), [_FakeDriver()]))
-        driver = entry.drivers[0]
+        entry, _ = pool.attach("k", lambda: (object(), _FakeDriver()))
+        driver = entry.driver
         pool.clear()
         assert driver.closed
         assert pool.stats()["entries"] == 0
@@ -120,7 +118,7 @@ class TestProcessPoolReuse:
             assert GLOBAL_POOL.stats()["forked"] == forked
             assert ex_b.runtime_stats()["pool_attach_reused"] is True
             # Both executors drive the same worker bundle.
-            assert ex_a._drivers[0] is ex_b._drivers[0]
+            assert ex_a._driver is ex_b._driver
         finally:
             ex_a.close()
             ex_b.close()
@@ -129,7 +127,7 @@ class TestProcessPoolReuse:
     def test_different_topologies_do_not_collide(self):
         model = make_model(seed=7)
         ex_a = resolve_executor("sharded:2:process", model)
-        ex_b = resolve_executor("pipeline:2:process", model)
+        ex_b = resolve_executor("sharded:4:process", model)
         forked_before = GLOBAL_POOL.stats()["forked"]
         try:
             ex_a.prepare()
@@ -154,7 +152,7 @@ class TestDeadWorkerRobustness:
         )
         try:
             engine.begin()
-            driver = engine.executor._drivers[0]
+            driver = engine.executor._driver
             victim = driver.procs[1]
             victim.terminate()
             victim.join()
@@ -172,7 +170,7 @@ class TestDeadWorkerRobustness:
         executor = resolve_executor("sharded:2:process", model)
         try:
             executor.prepare()
-            driver = executor._drivers[0]
+            driver = executor._driver
             driver.procs[0].terminate()
             driver.procs[0].join()
             payload = np.zeros((1, 2, model.config.embed_dim))
@@ -195,8 +193,6 @@ class TestWorkerPinning:
         assigned = assign_worker_cpus(len(cpus) + 1)
         assert assigned[0] == cpus[0]
         assert assigned[-1] == cpus[0]  # wraps round-robin
-        offset = assign_worker_cpus(1, offset=1)
-        assert offset[0] == cpus[1 % len(cpus)]
 
     def test_unsupported_platform_warns_and_unpins(self, monkeypatch):
         import repro.shard.executor as executor_mod

@@ -17,16 +17,29 @@ def model() -> OPTLanguageModel:
     return model
 
 
+class _FixedTimer:
+    """Deterministic monotonic clock advancing 1 ms per reading."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        self.t += 0.001
+        return self.t
+
+
 @pytest.fixture
 def fixed_timer():
     """Deterministic monotonic clock advancing 1 ms per reading."""
+    return _FixedTimer()
 
-    class _Timer:
-        def __init__(self) -> None:
-            self.t = 0.0
 
-        def __call__(self) -> float:
-            self.t += 0.001
-            return self.t
+@pytest.fixture
+def fixed_timer_factory():
+    """Builds a fresh fixed timer per call, for runs that must not share one.
 
-    return _Timer()
+    Comparisons of step counts across two engines need both on the same
+    injected clock: on the wall clock, a slower host batches more arrivals
+    into each step, and the count then tracks host load.
+    """
+    return _FixedTimer

@@ -8,6 +8,23 @@ import pytest
 from repro.serve.bench import DEFAULT_NORMALIZERS, jobs, run_bench, run_scenario
 
 
+@pytest.fixture
+def injected_clock(monkeypatch, fixed_timer_factory):
+    """Serve every bench cell on its own fixed timer.
+
+    Step counts compare schedules; on the wall clock a slower host batches
+    more arrivals into each step, so the counts would track host load.
+    """
+    import repro.serve.bench as bench_mod
+
+    engine_cls = bench_mod.ServeEngine
+    monkeypatch.setattr(
+        bench_mod,
+        "ServeEngine",
+        lambda model, **kwargs: engine_cls(model, timer=fixed_timer_factory(), **kwargs),
+    )
+
+
 class TestRunScenario:
     def test_rows_and_text(self):
         rows, text = run_scenario(
@@ -157,7 +174,7 @@ class TestDecodeStrategyAxis:
         assert "accept" in text and "tok/step" in text
         json.dumps(rows)
 
-    def test_token_digest_matches_across_strategies(self):
+    def test_token_digest_matches_across_strategies(self, injected_clock):
         """The artifact-level exactness proof: digests pair up."""
         base, _ = run_scenario(
             scenario="summarize-copy", normalizer="baseline", quick=True,
@@ -196,7 +213,7 @@ class TestDecodeStrategyAxis:
         assert "ngram" not in by_strategy["one-token"].params
         assert by_strategy["prompt-lookup"].params["ngram"] == 3
 
-    def test_spec_bench_comparison(self, tmp_path):
+    def test_spec_bench_comparison(self, tmp_path, injected_clock):
         out = tmp_path / "BENCH_serve_spec.json"
         payload, _ = run_bench(
             quick=True,

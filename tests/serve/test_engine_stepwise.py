@@ -10,6 +10,7 @@ policies need.
 import numpy as np
 import pytest
 
+from repro.nn.generation import generate
 from repro.serve import Request, ServeEngine
 
 
@@ -119,3 +120,38 @@ class TestLoadSnapshot:
         # 12-token prompt, 2 prefilled: 10 positions still to compute.
         assert snapshot["prefill_backlog_tokens"] == 10
         assert snapshot["load"] == 1
+
+
+class TestSubmitValidation:
+    @pytest.mark.parametrize("bad_id", [-1, "vocab"])
+    def test_out_of_vocab_prompt_is_rejected_and_not_enqueued(self, model, bad_id):
+        vocab = model.config.vocab_size
+        bad_id = vocab if bad_id == "vocab" else bad_id
+        engine = ServeEngine(model, timer=_Timer())
+        engine.begin()
+        with pytest.raises(ValueError, match="'bad-7'"):
+            engine.submit(Request("bad-7", np.array([1, bad_id, 2])))
+        assert engine.load_snapshot()["queue_depth"] == 0
+        assert not engine.has_work
+
+    def test_valid_neighbour_still_serves_generate_tokens(self, model):
+        """A rejected submit leaves the batch it would have joined intact."""
+        engine = ServeEngine(model, max_batch_size=4, timer=_Timer())
+        engine.begin()
+        good = Request("good", np.array([5, 9, 3, 7]), max_new_tokens=6)
+        engine.submit(good)
+        with pytest.raises(ValueError, match="'bad'"):
+            engine.submit(Request("bad", np.array([2, model.config.vocab_size + 3])))
+        now = 0.0
+        while engine.has_work:
+            now += engine.step_at(now)
+        report = engine.report()
+        assert [c.request_id for c in report.completed] == ["good"]
+        expected = generate(
+            model,
+            good.prompt_ids,
+            max_new_tokens=good.max_new_tokens,
+            temperature=good.temperature,
+            rng=np.random.default_rng(good.seed),
+        )
+        np.testing.assert_array_equal(report.by_id("good").tokens, expected)

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.initialization import LAMBDA_COEFFICIENT, initial_a, update_rate
 from repro.fpformats.arithmetic import FormatArithmetic
-from repro.fpformats.bitops import unbiased_exponent
+from repro.fpformats.bitops import stored_exponent
 from repro.fpformats.quantize import quantize, rounder
 from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
 
@@ -148,17 +148,16 @@ def iterate_a_batch(
     Functionally identical to calling :func:`iterate_a` on each element of
     ``m`` (a unit test asserts this), but executed with array operations so
     the transformer substrate can normalize thousands of token rows per call.
-    Non-positive entries of ``m`` (all-zero rows) yield ``a = 0``.  The set-up
-    roundings of ``m``, ``a0`` and ``lambda`` go through :func:`quantize`;
-    the update steps through the format's bit-identical :func:`rounder`.
+    Non-positive entries of ``m`` (all-zero rows) yield ``a = 0``.  Only the
+    rounding of ``m`` goes through :func:`quantize`; its exponent is read
+    with :func:`stored_exponent`, and every later rounding is a :func:`rounder`.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be non-negative, got {num_steps}")
     work_fmt = _resolve_format(fmt)
     m_input = np.atleast_1d(np.asarray(m, dtype=np.float64))
     positive = m_input > 0.0
-    m_arr = np.asarray(quantize(m_input, work_fmt), dtype=np.float64)
-    m_arr = np.atleast_1d(m_arr)
+    m_arr = quantize(m_input, work_fmt)
     # Positive entries that underflow to zero in the working format fall back
     # to the smallest representable positive value, exactly as iterate_a does.
     underflowed = positive & (m_arr <= 0.0)
@@ -168,23 +167,17 @@ def iterate_a_batch(
     # and the arithmetic stay finite; the result is masked to zero at the end.
     m_safe = np.where(positive, m_arr, 1.0)
 
-    exponents = np.asarray(unbiased_exponent(m_safe, work_fmt), dtype=np.float64)
-    if a0 is None:
-        a = np.asarray(quantize(np.exp2(-(exponents + 1.0) / 2.0), work_fmt), dtype=np.float64)
-    else:
-        a = np.broadcast_to(
-            np.asarray(quantize(a0, work_fmt), dtype=np.float64), m_safe.shape
-        ).copy()
-    if lam is None:
-        lam_arr = np.asarray(
-            quantize(LAMBDA_COEFFICIENT * np.exp2(-exponents), work_fmt), dtype=np.float64
-        )
-    else:
-        lam_arr = np.broadcast_to(
-            np.asarray(quantize(lam, work_fmt), dtype=np.float64), m_safe.shape
-        )
-
     q = rounder(work_fmt)
+    exponents = stored_exponent(m_safe, work_fmt).astype(np.float64)
+    if a0 is None:
+        a = q(np.exp2(-(exponents + 1.0) / 2.0))
+    else:
+        a = np.broadcast_to(q(a0), m_safe.shape).copy()
+    if lam is None:
+        lam_arr = q(LAMBDA_COEFFICIENT * np.exp2(-exponents))
+    else:
+        lam_arr = np.broadcast_to(q(lam), m_safe.shape)
+
     for _ in range(num_steps):
         ma = q(m_safe * a)
         ma2 = q(ma * a)

@@ -134,12 +134,13 @@ class IterL2Norm:
         d = self.normalized_dim
 
         flat = x.reshape(-1, d)
+        # x_q and squares are already in the format: tree-sum them unrounded.
         x_q = np.asarray(arith.cast(flat))
-        sums = np.atleast_1d(np.asarray(arith.tree_sum(x_q, axis=-1)))
+        sums = arith.tree_sum_rows(x_q)
         means = np.asarray(arith.mul(sums, self._inv_d)).reshape(-1, 1)
         y = np.asarray(arith.sub(x_q, means))
         squares = np.asarray(arith.mul(y, y))
-        m = np.atleast_1d(np.asarray(arith.tree_sum(squares, axis=-1)))
+        m = arith.tree_sum_rows(squares)
 
         a = iterate_a_batch(
             m,

@@ -32,6 +32,7 @@ from repro.fpformats.bitops import (
     encode_bits,
     exponent_field,
     significand_value,
+    stored_exponent,
     unbiased_exponent,
 )
 from repro.fpformats.quantize import quantize, quantization_step, representable, rounder
@@ -54,5 +55,6 @@ __all__ = [
     "representable",
     "rounder",
     "significand_value",
+    "stored_exponent",
     "unbiased_exponent",
 ]

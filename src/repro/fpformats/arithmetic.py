@@ -84,18 +84,19 @@ class FormatArithmetic:
         """
         x = np.asarray(values, dtype=np.float64)
         if axis is None:
-            reduced = self._tree_reduce_last_axis(np.atleast_2d(self._round(x.reshape(-1))))
+            reduced = self.tree_sum_rows(np.atleast_2d(self._round(x.reshape(-1))))
             return float(reduced.reshape(()))
         x = np.moveaxis(x, axis, -1)
         out_shape = x.shape[:-1]
         flat = self._round(x.reshape(-1, x.shape[-1]))
-        result = self._tree_reduce_last_axis(flat)
+        result = self.tree_sum_rows(flat)
         if out_shape == ():
             return float(result.reshape(()))
         return result.reshape(out_shape)
 
-    def _tree_reduce_last_axis(self, rows: np.ndarray) -> np.ndarray:
-        """Reduce the last axis of a 2-D array level by level (vectorized)."""
+    def tree_sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`tree_sum` of each row of a 2-D array already in the format,
+        skipping the (idempotent) input rounding; vectorized level by level."""
         if rows.shape[-1] == 0:
             return np.zeros(rows.shape[0], dtype=np.float64)
         current = rows

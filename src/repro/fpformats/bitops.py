@@ -154,6 +154,17 @@ def unbiased_exponent(values: np.ndarray | float, fmt: FloatFormat | str) -> np.
     return exponent_field(values, fmt) - fmt.bias
 
 
+def stored_exponent(values: np.ndarray | float, fmt: FloatFormat | str) -> np.ndarray:
+    """:func:`unbiased_exponent` of values already in ``fmt``, read with
+    :func:`numpy.frexp` (normal: ``e - 1``; zero, subnormal: ``-bias``; inf,
+    NaN: ``max_exponent_field - bias``) instead of encoding the bits."""
+    fmt = get_format(fmt)
+    x = np.asarray(values, dtype=np.float64)
+    _, e = np.frexp(x)
+    e = np.where(np.abs(x) < fmt.min_positive_normal, -fmt.bias, e - 1)
+    return np.where(np.isfinite(x), e, fmt.max_exponent_field - fmt.bias)
+
+
 def significand_value(values: np.ndarray | float, fmt: FloatFormat | str) -> np.ndarray:
     """Return the significand of each value, in ``[1, 2)`` for normals.
 

@@ -8,14 +8,16 @@ hardware register of that width would store it.
 Two entry points share one rounding per format:
 
 * :func:`quantize` takes any value and a format name, and returns a Python
-  float for a scalar.  It serves the activation and KV casters and every
-  one-off rounding.
+  float for a scalar.  It is the reference, and serves one-off roundings:
+  the memoized weights, the KV tier's blocks, the normalizer's ``m``.
 * :func:`rounder` resolves the format once and returns a float64 -> float64
-  callable with the same bytes.  The emulated IterL2Norm datapath
+  callable with the same bytes.  Every hot cast binds one instead of paying
+  the format lookup, the scalar check and the float-error context of
+  :func:`quantize` per call: the emulated IterL2Norm datapath
   (:class:`~repro.fpformats.arithmetic.FormatArithmetic` and the batched
-  scalar iteration) rounds some fifty small arrays per call, so it binds a
-  rounder at construction instead of paying the format lookup, the scalar
-  check and the float-error context of :func:`quantize` on every one.
+  scalar iteration, some fifty small arrays per call) and the transformer's
+  activation, accumulator and KV casts
+  (:func:`~repro.precision.ops.caster`).
 
 For bfloat16 the rounder rounds *once*, on the float64 bit pattern: add
 ``2^44 - 1 + bit45`` and clear the low 45 bits.  That is round-to-nearest-
@@ -23,10 +25,7 @@ even of the 52-bit mantissa to bfloat16's 7, the same result as
 :func:`quantize`'s round-to-odd float32 prestep followed by RNE, whenever
 every non-zero result lands in bfloat16's normal range.  An array with a
 NaN, an infinity, an overflow or a subnormal-range element goes through the
-reference path instead.  The activation casters stay on :func:`quantize`:
-routing them through the rounder made each call faster but slowed the
-prefill step, because the new allocation pattern placed later ``einsum``
-operands worse.
+reference path instead.
 """
 
 from __future__ import annotations

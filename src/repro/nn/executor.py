@@ -25,9 +25,10 @@ precision policy.  This module makes that seam explicit:
       per-layer closures — no per-token attribute chains or memo lookups;
     * caches causal ragged masks keyed ``(new_len, total_len)`` and skips
       the mask entirely for single-token rows (see note below);
-    * batches the quantize-on-write KV path — one vectorized quantize per
-      layer per step instead of one per row — and hands pre-quantized
-      slices to the caches through their ``append_raw`` fast path;
+    * batches the quantize-on-write KV path — one vectorized cast per
+      layer per step instead of one per row, through the KV format's bound
+      :func:`~repro.precision.ops.caster` — and hands pre-quantized slices
+      to the caches through their ``append_raw`` fast path;
     * reuses a preallocated context workspace across layers and a logits
       output buffer across steps on the ragged path.
 
@@ -49,6 +50,8 @@ arithmetic, never a re-association:
   ``det_matmul`` (quantized weights come from the same ``ops.weight`` memo),
   so einsum sees identical memory-layout classes and picks identical
   accumulation loops.
+* Every cast is the op layer's bound caster, bit-identical to ``quantize``
+  and returning C order; the reference path casts with the same casters.
 * KV quantization is elementwise, so quantizing the whole ``(batch, heads,
   max_new, head_dim)`` tensor once and appending per-row slices writes the
   same bytes as quantizing each row separately.  The ``append_raw`` gate
@@ -59,9 +62,10 @@ arithmetic, never a re-association:
   only consumer is ``det_softmax``, where ``exp(±0.0) == 1.0`` bitwise, so
   the skip cannot change a downstream byte.
 * The context workspace is allocated per ``(batch, max_new)`` shape, exactly
-  mirroring the reference ``np.zeros_like(q)`` layout (a transposed view of
-  a C-contiguous buffer); stale pad lanes are never read because pad lanes
-  never enter attention and every other op is per-position.
+  mirroring the reference ``np.zeros_like(q)`` (zeroed; a transposed view of
+  a C-contiguous buffer).  Pad lanes are never written and their outputs
+  never used, as they never enter attention and every other op is
+  per-position; zeroing keeps uninitialized NaN/inf patterns out of them.
 
 Because the logits buffer is reused, the array returned by the compiled
 ``forward_ragged`` is only valid until the next ``forward_ragged`` call on
@@ -78,7 +82,9 @@ import numpy as np
 
 from repro.nn.functional import causal_mask_offset, det_matmul, det_softmax
 from repro.nn.kv_cache import resolve_kv_format
-from repro.fpformats.quantize import quantize
+from repro.precision.ops import caster
+# Kept as a module attribute: the wall-clock benchmark's tracer patches it.
+from repro.fpformats.quantize import quantize  # noqa: F401
 
 __all__ = [
     "EXECUTORS",
@@ -277,11 +283,7 @@ class _Plan:
         self.layers = [_LayerPlan(block, ops) for block in model.blocks]
 
         self.kv_fmt = resolve_kv_format(model.policy.kv_cache_fmt)
-        if self.kv_fmt is None:
-            self.kv_quant = None
-        else:
-            fmt = self.kv_fmt
-            self.kv_quant = lambda x: quantize(x, fmt)
+        self.kv_quant = caster(self.kv_fmt)
 
 
 class CompiledExecutor:
@@ -338,7 +340,7 @@ class CompiledExecutor:
         if buf is None:
             if len(self._ctx_bufs) >= self._BUFFER_CACHE_LIMIT:
                 self._ctx_bufs.clear()
-            buf = np.empty(
+            buf = np.zeros(
                 (batch, max_new, plan.num_heads, plan.head_dim), dtype=np.float64
             )
             self._ctx_bufs[key] = buf
@@ -484,10 +486,7 @@ class CompiledExecutor:
     def _attend_cached(self, plan, kv, raw_ok, q, k_new, v_new):
         """Attention core of ``forward_with_cache``: one batch-wide append."""
         if raw_ok:
-            if plan.kv_quant is not None:
-                k_new = plan.kv_quant(k_new)
-                v_new = plan.kv_quant(v_new)
-            k_all, v_all = kv.append_raw(k_new, v_new)
+            k_all, v_all = kv.append_raw(plan.kv_quant(k_new), plan.kv_quant(v_new))
         else:
             k_all, v_all = kv.append(k_new, v_new)
         scores = plan.attn_scores(q, k_all.transpose(0, 1, 3, 2), plan.scale)
@@ -500,7 +499,7 @@ class CompiledExecutor:
         """Attention core of ``forward_ragged``: each row appends and attends
         over its right-aligned real lanes only, writing into ``ctx``."""
         max_new = q.shape[2]
-        if raw_ok and plan.kv_quant is not None:
+        if raw_ok:
             # One vectorized quantize per layer per step; per-row slices of
             # an elementwise quantize are bit-identical to per-row quantizes.
             k_new = plan.kv_quant(k_new)

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fpformats.quantize import quantize
 from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
+from repro.precision.ops import caster
 
 #: Initial per-layer buffer capacity (token positions) when the first append
 #: is smaller than this; larger first appends size the buffer exactly and
@@ -62,6 +62,7 @@ class LayerKVCache:
 
     def __init__(self, fmt: str | FloatFormat | None = None) -> None:
         self._fmt = resolve_kv_format(fmt)
+        self._cast = caster(self._fmt)
         self._k_buf: np.ndarray | None = None
         self._v_buf: np.ndarray | None = None
         self._len = 0
@@ -123,10 +124,7 @@ class LayerKVCache:
                 raise ValueError(
                     f"cache holds {self.k.shape}, cannot append {k.shape}"
                 )
-        if self._fmt is not None:
-            k = quantize(k, self._fmt)
-            v = quantize(v, self._fmt)
-        return self._write(k, v)
+        return self._write(self._cast(k), self._cast(v))
 
     def append_raw(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Append K/V that are **already** in :attr:`kv_fmt` storage bytes.

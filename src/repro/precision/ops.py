@@ -13,8 +13,8 @@ implementations, selected by :func:`make_ops` from the model's
   the activation format, and parameters round to the weight format before
   use (as a register of that width would hold them).
 
-All quantizations are *elementwise* round-to-nearest-even
-(:func:`repro.fpformats.quantize.quantize`) layered over the deterministic
+All quantizations are *elementwise* round-to-nearest-even (the format's
+bound :func:`caster`) layered over the deterministic
 kernels (:func:`~repro.nn.functional.det_matmul`,
 :func:`~repro.nn.functional.det_softmax`), so the shape-independence that
 makes incremental decoding bit-identical to prefill — and served tokens
@@ -26,11 +26,12 @@ float64 path; policies only shape evaluation.
 from __future__ import annotations
 
 import weakref
+from typing import Callable
 
 import numpy as np
 
-from repro.fpformats.quantize import quantize
-from repro.fpformats.spec import FLOAT64, get_format
+from repro.fpformats.quantize import quantize, rounder
+from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
 
 #: Lazily bound :mod:`repro.nn.functional` — importing it at module load
 #: would close an import cycle (nn.layers imports this module for the
@@ -49,6 +50,15 @@ def _fn():
 
 def _identity(x: np.ndarray) -> np.ndarray:
     return x
+
+
+def caster(fmt: FloatFormat | str | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The activation/accumulator/KV cast to ``fmt``: its bound
+    :func:`~repro.fpformats.quantize.rounder` (bytes of :func:`quantize`, C
+    order out), or the identity for ``fp64``/``None``."""
+    if fmt is None or get_format(fmt) == FLOAT64:
+        return _identity
+    return rounder(fmt)
 
 
 class PassthroughOps:
@@ -140,21 +150,14 @@ class QuantizedOps:
         self.policy = policy
         weight_fmt = get_format(policy.weight_fmt)
         self._weight_fmt = None if weight_fmt == FLOAT64 else weight_fmt
-        self.act = self._caster(policy.activation_fmt)
-        self.accum = self._caster(policy.accumulation_fmt)
-        self.kv = self._caster(policy.kv_cache_fmt)
+        self.act = caster(policy.activation_fmt)
+        self.accum = caster(policy.accumulation_fmt)
+        self.kv = caster(policy.kv_cache_fmt)
         # (id(base), data ptr, shape, strides) -> (weakref to base,
         # quantized array).  The data pointer distinguishes overlapping
         # equal-shape slices of one buffer; the weakref guards against
         # id() reuse after the source is freed.
         self._weight_cache: dict = {}
-
-    @staticmethod
-    def _caster(fmt_name: str):
-        fmt = get_format(fmt_name)
-        if fmt == FLOAT64:
-            return _identity
-        return lambda x, _fmt=fmt: quantize(x, _fmt)
 
     def weight(self, w: np.ndarray) -> np.ndarray:
         """Quantized copy of a parameter array, memoized per base buffer."""

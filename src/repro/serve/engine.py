@@ -302,7 +302,8 @@ class ServeEngine:
         Raises :class:`ValueError`, and enqueues nothing, when a prompt
         token id lies outside the model's vocabulary: admitted, it would
         fail the embedding lookup of a later step and take every request
-        batched with it down too.
+        batched with it down too.  A stop token outside the vocabulary is
+        rejected the same way, since no step could ever produce it.
         """
         prompt = request.prompt_ids
         vocab_size = self.model.config.vocab_size
@@ -310,6 +311,12 @@ class ServeEngine:
             raise ValueError(
                 f"request {request.request_id!r}: prompt token id out of range "
                 f"[0, {vocab_size})"
+            )
+        bad_stops = [t for t in request.stop_tokens if not 0 <= t < vocab_size]
+        if bad_stops:
+            raise ValueError(
+                f"request {request.request_id!r}: stop token id(s) {bad_stops} "
+                f"out of range [0, {vocab_size})"
             )
         self.scheduler.enqueue(request)
 

@@ -78,9 +78,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fpformats.quantize import quantize
 from repro.nn.kv_cache import resolve_kv_format
-from repro.precision.ops import requantize_blocks
+from repro.precision.ops import caster, requantize_blocks
 
 
 class PoolExhaustedError(RuntimeError):
@@ -699,6 +698,7 @@ class BlockKVPool:
         self.block_size = int(block_size)
         self.grow_factor = float(grow_factor)
         self.kv_fmt = resolve_kv_format(kv_fmt)
+        self._kv_cast = caster(self.kv_fmt)
         self.max_blocks = None if max_blocks is None else int(max_blocks)
         self.prefix = PrefixIndex(self.block_size) if prefix_caching else None
         self.tier_blocks = 0 if tier_blocks is None else int(tier_blocks)
@@ -1156,13 +1156,9 @@ class SequenceKV:
                 f"expected matching (1, heads, seq, head_dim) tensors, got "
                 f"{k.shape} and {v.shape}"
             )
-        if self.pool.kv_fmt is not None:
-            # Quantize once per chunk, before it is scattered into blocks —
-            # the same elementwise write-side rounding LayerKVCache applies,
-            # keeping pooled and private caches bit-identical per policy.
-            k = quantize(k, self.pool.kv_fmt)
-            v = quantize(v, self.pool.kv_fmt)
-        return self._write_chunk(layer, k, v)
+        # One rounding per chunk, before the scatter: LayerKVCache's bytes.
+        cast = self.pool._kv_cast
+        return self._write_chunk(layer, cast(k), cast(v))
 
     def append_raw(
         self, layer: int, k: np.ndarray, v: np.ndarray

@@ -30,23 +30,12 @@ import os
 
 import numpy as np
 
-from repro.fpformats.quantize import quantize
-from repro.fpformats.spec import FLOAT64, get_format
 from repro.nn.functional import det_matmul, det_matmul_partials
+from repro.precision.ops import caster
 
 #: Phase names a shard understands, in the per-layer order the driver
 #: issues them (``logits`` runs once per forward, after the final norm).
 PHASES = ("qkv", "out", "ffn", "logits")
-
-
-def make_caster(fmt_name):
-    """Elementwise round-to-format closure (identity for fp64/None)."""
-    if fmt_name is None:
-        return lambda x: x
-    fmt = get_format(fmt_name)
-    if fmt == FLOAT64:
-        return lambda x: x
-    return lambda x, _fmt=fmt: quantize(x, _fmt)
 
 
 class _ShardLayer:
@@ -85,8 +74,8 @@ class ShardState:
     def __init__(self, config, arrays):
         self.num_shards = config["num_shards"]
         self.passthrough = config["passthrough"]
-        self.accum = make_caster(config["accum_fmt"])
-        self.act = make_caster(config["act_fmt"])
+        self.accum = caster(config["accum_fmt"])
+        self.act = caster(config["act_fmt"])
         self.embed_dim = config["embed_dim"]
         self.ffn_dim = config["ffn_dim"]
         self.out_lo = config["out_lo"]

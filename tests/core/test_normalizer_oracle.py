@@ -9,7 +9,9 @@ trees).  The library binds a faster but bit-identical rounder; any change
 in the order of operations, a dropped or extra rounding, or a rounder that
 differs from :func:`quantize` on some input shows up here as a byte
 mismatch.  The sweep covers zero, constant, subnormal, overflowing and NaN
-rows, where NaN payloads, signed zeros and infinities must match too.
+rows, and rows whose squares are finite but whose squared norm ``m``
+overflows to infinity (the exponent read of an infinite ``m``); NaN
+payloads, signed zeros and infinities must match too.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.fpformats.spec import get_format
 FORMATS = ("fp64", "fp32", "fp16", "bf16", "fp8_e4m3")
 D_VALUES = (1, 7, 64, 128, 200, 1024)
 ROW_COUNTS = (1, 16, 256)
-SPECIAL_ROWS = ("zero", "constant", "subnormal", "overflow", "nan")
+SPECIAL_ROWS = ("zero", "constant", "subnormal", "overflow", "nan", "m_overflow")
 FAN_IN = 8
 
 
@@ -103,6 +105,10 @@ def special_row(kind: str, fmt: str, d: int, rng) -> np.ndarray:
         return spec.min_positive_subnormal * rng.integers(-3, 4, size=d)
     if kind == "overflow":
         return spec.max_finite * rng.choice([-0.9, 0.6, 0.99], size=d)
+    if kind == "m_overflow":
+        # Alternating +-0.75 sqrt(max): zero mean, each square about half the
+        # largest finite value, so any two of them sum past it.
+        return 0.75 * np.sqrt(spec.max_finite) * np.where(np.arange(d) % 2, -1.0, 1.0)
     row = rng.standard_normal(d)
     row[rng.integers(d)] = np.nan
     return row
@@ -192,6 +198,23 @@ def test_reassigned_gamma_and_beta_are_honoured(fmt):
     assert after_gamma[5:].tobytes() != before[5:].tobytes()
     layer.beta = rng.standard_normal(128)
     assert_bytes_equal(layer.forward(x), oracle_forward(layer, x))
+
+
+@pytest.mark.parametrize("d", (8, 64, 128))
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_rows_whose_squared_norm_overflows(fmt, d):
+    layer = make_layer(fmt, d, seed=12)
+    rng = np.random.default_rng(13)
+    x = np.concatenate([special_row("m_overflow", fmt, d, rng)[None, :],
+                        make_batch(fmt, d, 15, seed=14)[6:]])
+    arith = FormatArithmetic(fmt)
+    y = q(x[:1], fmt) - q(q(x[:1], fmt).sum() / d, fmt)
+    squares = q(y * y, fmt)
+    assert np.all(np.isfinite(squares))
+    assert np.isinf(arith.tree_sum(squares[0]))
+    assert_bytes_equal(layer.forward(x), oracle_forward(layer, x))
+    m = np.array([np.inf, 4.0, np.inf, 0.5])
+    assert_bytes_equal(iterate_a_batch(m, fmt=fmt), oracle_iterate(m, fmt))
 
 
 # -- FormatArithmetic reductions ---------------------------------------------------

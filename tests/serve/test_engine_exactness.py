@@ -11,7 +11,9 @@ sliding-window spillover past ``max_position``.
 import numpy as np
 import pytest
 
+from repro.nn.config import get_config
 from repro.nn.generation import generate
+from repro.nn.model import OPTLanguageModel
 from repro.serve import Request, ServeEngine
 
 
@@ -95,6 +97,33 @@ class TestGreedyBitExactness:
             .tokens
         )
         np.testing.assert_array_equal(alone, crowded)
+
+
+class TestOverlongPrompts:
+    """Prompts longer than ``max_position`` serve their trailing window."""
+
+    @pytest.mark.parametrize("prefill_budget", [None, 8], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
+    def test_overlong_prompt_matches_generate(self, policy, backend, prefill_budget):
+        model = OPTLanguageModel(
+            get_config("opt-test"), rng=np.random.default_rng(2024), policy=policy
+        )
+        model.eval()
+        max_pos = model.config.max_position
+        rng = np.random.default_rng(5)
+        requests = [
+            Request("over-by-1", rng.integers(0, 64, max_pos + 1), max_new_tokens=4),
+            Request("over-by-half", rng.integers(0, 64, max_pos + max_pos // 2),
+                    max_new_tokens=6),
+            Request("sampled", rng.integers(0, 64, 2 * max_pos + 3), max_new_tokens=5,
+                    temperature=0.8, top_k=8, seed=17),
+            Request("short", np.array([3, 1, 4, 1, 5]), max_new_tokens=7),
+        ]
+        assert_served_equals_generate(
+            model, requests, max_batch_size=4, backend=backend,
+            prefill_budget=prefill_budget,
+        )
 
 
 class TestStopTokens:

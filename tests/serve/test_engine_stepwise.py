@@ -134,6 +134,25 @@ class TestSubmitValidation:
         assert engine.load_snapshot()["queue_depth"] == 0
         assert not engine.has_work
 
+    @pytest.mark.parametrize("bad_stop", [-1, "vocab"])
+    def test_out_of_vocab_stop_token_is_rejected_and_not_enqueued(self, model, bad_stop):
+        vocab = model.config.vocab_size
+        bad_stop = vocab if bad_stop == "vocab" else bad_stop
+        engine = ServeEngine(model, timer=_Timer())
+        engine.begin()
+        request = Request("stop-3", np.array([1, 2, 3]), stop_tokens=(5, bad_stop))
+        with pytest.raises(ValueError, match=rf"'stop-3'.*\[{bad_stop}\]"):
+            engine.submit(request)
+        assert engine.load_snapshot()["queue_depth"] == 0
+        assert not engine.has_work
+
+    def test_in_vocab_stop_tokens_are_accepted(self, model):
+        vocab = model.config.vocab_size
+        engine = ServeEngine(model, timer=_Timer())
+        engine.begin()
+        engine.submit(Request("ok", np.array([1, 2, 3]), stop_tokens=(0, vocab - 1)))
+        assert engine.load_snapshot()["queue_depth"] == 1
+
     def test_valid_neighbour_still_serves_generate_tokens(self, model):
         """A rejected submit leaves the batch it would have joined intact."""
         engine = ServeEngine(model, max_batch_size=4, timer=_Timer())

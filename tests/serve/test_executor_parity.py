@@ -10,8 +10,12 @@ layer's op sequence, batches the quantize-on-write KV path, and reuses
 mask/context/logit buffers; none of that may move a single bit.
 """
 
+import types
+
 import numpy as np
 import pytest
+
+import repro.nn.executor as executor_module
 
 from repro.nn.config import get_config
 from repro.nn.executor import (
@@ -298,3 +302,20 @@ class TestExecutorContract:
         np.testing.assert_array_equal(executor.forward(prompt), model(prompt))
         model.set_policy("bf16-fp8kv")
         np.testing.assert_array_equal(executor.forward(prompt), model(prompt))
+
+    @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
+    def test_ragged_pad_lanes_never_see_uninitialized_memory(self, policy, monkeypatch):
+        """Pad lanes of the context workspace are never written; they must
+        start at zero, as the reference's, not as whatever memory held."""
+        garbage = types.ModuleType("numpy")
+        garbage.__dict__.update(np.__dict__)
+        garbage.empty = lambda shape, dtype=np.float64: np.full(
+            shape, np.inf if np.dtype(dtype).kind == "f" else 0, dtype
+        )
+        monkeypatch.setattr(executor_module, "np", garbage)
+        model = make_model(policy)
+        executor = CompiledExecutor(model)
+        caches = [model.new_kv_cache() for _ in range(2)]
+        with np.errstate(invalid="raise"):
+            executor.forward_ragged(np.array([[0, 0, 0, 5], [1, 2, 3, 4]]), caches, [1, 4])
+

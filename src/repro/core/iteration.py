@@ -11,17 +11,28 @@ L2-normalized vector.  Two execution modes are provided:
 * exact float64 (``fmt=None`` or ``"fp64"``) — for theory-level analysis;
 * format-rounded (``fmt="fp32" | "fp16" | "bf16" | FloatFormat``) — every
   intermediate result is quantized, emulating the hardware datapath.
+
+With the default ``a0`` (Eq. 6) and ``lambda`` (Eq. 10), the rounded
+iteration's result is a pure function of the rounded ``m`` and the step
+count.  A format of at most 16 bits has at most 2^15 positive values, so
+:func:`iterate_a_batch` runs its update loop once over all of them, caches
+the results per ``(format, num_steps)``, and answers every later call with
+one table gather.  The loop stays the only definition of the arithmetic,
+and the path for wider formats and explicit ``lam``/``a0``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.initialization import LAMBDA_COEFFICIENT, initial_a, update_rate
 from repro.fpformats.arithmetic import FormatArithmetic
-from repro.fpformats.bitops import stored_exponent
+from repro.fpformats.bitops import decode_bits, stored_exponent
+# ``quantize`` stays a module attribute: the wall-clock benchmark's tracer
+# patches ``repro.core.iteration.quantize`` by name.
 from repro.fpformats.quantize import quantize, rounder
 from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
 
@@ -136,6 +147,10 @@ def iterate_a_trace(
     return trace
 
 
+# Formats this wide or narrower run iterate_a_batch as a table gather.
+_TABLE_MAX_BITS = 16
+
+
 def iterate_a_batch(
     m: np.ndarray,
     num_steps: int = 5,
@@ -148,16 +163,22 @@ def iterate_a_batch(
     Functionally identical to calling :func:`iterate_a` on each element of
     ``m`` (a unit test asserts this), but executed with array operations so
     the transformer substrate can normalize thousands of token rows per call.
-    Non-positive entries of ``m`` (all-zero rows) yield ``a = 0``.  Only the
-    rounding of ``m`` goes through :func:`quantize`; its exponent is read
-    with :func:`stored_exponent`, and every later rounding is a :func:`rounder`.
+    Non-positive and NaN entries of ``m`` (all-zero rows) yield ``a = 0``.
+    Every rounding is a :func:`rounder`, and the exponent of the rounded
+    ``m`` is read with :func:`stored_exponent`.
+
+    For a format of at most 16 bits with the default ``lam`` and ``a0``,
+    the update loop runs once per ``(format, num_steps)`` over every
+    positive value of the format (:func:`iteration_table`), and each call
+    gathers its results from that table; the bytes are the loop's.  Wider
+    formats and an explicit ``lam`` or ``a0`` run the loop on the batch.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be non-negative, got {num_steps}")
     work_fmt = _resolve_format(fmt)
     m_input = np.atleast_1d(np.asarray(m, dtype=np.float64))
     positive = m_input > 0.0
-    m_arr = quantize(m_input, work_fmt)
+    m_arr = rounder(work_fmt)(m_input)
     # Positive entries that underflow to zero in the working format fall back
     # to the smallest representable positive value, exactly as iterate_a does.
     underflowed = positive & (m_arr <= 0.0)
@@ -167,8 +188,48 @@ def iterate_a_batch(
     # and the arithmetic stay finite; the result is masked to zero at the end.
     m_safe = np.where(positive, m_arr, 1.0)
 
-    q = rounder(work_fmt)
-    exponents = stored_exponent(m_safe, work_fmt).astype(np.float64)
+    if lam is None and a0 is None and work_fmt.total_bits <= _TABLE_MAX_BITS:
+        values, results = iteration_table(work_fmt, num_steps)
+        a = results[np.searchsorted(values, m_safe)]
+    else:
+        a = _update_loop(m_safe, num_steps, lam, a0, work_fmt)
+
+    a = np.where(positive, a, 0.0)
+    return a.reshape(np.shape(m) if np.ndim(m) else (1,))
+
+
+@functools.lru_cache(maxsize=None)
+def iteration_table(fmt: FloatFormat, num_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, a)``: every positive value of ``fmt`` in ascending order
+    (subnormals and +inf included), and the update loop's ``a`` for each,
+    with the default ``a0`` and ``lambda``.  Built once per process and
+    read-only; only meant for formats of at most 16 bits.
+    """
+    # Bit patterns of one sign order like their magnitudes; the last
+    # positive pattern below the NaNs is +inf.
+    values = decode_bits(np.arange(1, (fmt.max_exponent_field << fmt.mantissa_bits) + 1), fmt)
+    results = _update_loop(values, num_steps, None, None, fmt)
+    values.setflags(write=False)
+    results.setflags(write=False)
+    return values, results
+
+
+def _update_loop(
+    m_safe: np.ndarray,
+    num_steps: int,
+    lam: np.ndarray | float | None,
+    a0: np.ndarray | float | None,
+    fmt: FloatFormat,
+) -> np.ndarray:
+    """Eq. 6/10 set-up and ``num_steps`` updates of ``a`` for positive
+    ``m_safe`` already in ``fmt``, rounding after every operation.
+
+    An infinite ``m`` drives ``a`` to NaN; that is the datapath's result, so
+    float errors are not reported, whether the loop runs on a batch or
+    builds a table.
+    """
+    q = rounder(fmt)
+    exponents = stored_exponent(m_safe, fmt).astype(np.float64)
     if a0 is None:
         a = q(np.exp2(-(exponents + 1.0) / 2.0))
     else:
@@ -178,16 +239,15 @@ def iterate_a_batch(
     else:
         lam_arr = np.broadcast_to(q(lam), m_safe.shape)
 
-    for _ in range(num_steps):
-        ma = q(m_safe * a)
-        ma2 = q(ma * a)
-        one_minus = q(1.0 - ma2)
-        lam_ma = q(lam_arr * ma)
-        delta = q(lam_ma * one_minus)
-        a = q(a + delta)
-
-    a = np.where(positive, a, 0.0)
-    return a.reshape(np.shape(m) if np.ndim(m) else (1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(num_steps):
+            ma = q(m_safe * a)
+            ma2 = q(ma * a)
+            one_minus = q(1.0 - ma2)
+            lam_ma = q(lam_arr * ma)
+            delta = q(lam_ma * one_minus)
+            a = q(a + delta)
+    return a
 
 
 def iterl2norm_vector(

@@ -15,6 +15,8 @@ bit-identical to :func:`~repro.fpformats.quantize.quantize`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # ``quantize`` stays a module attribute: the wall-clock benchmark's tracer
@@ -88,7 +90,7 @@ class FormatArithmetic:
             return float(reduced.reshape(()))
         x = np.moveaxis(x, axis, -1)
         out_shape = x.shape[:-1]
-        flat = self._round(x.reshape(-1, x.shape[-1]))
+        flat = self._round(x.reshape(math.prod(out_shape), x.shape[-1]))
         result = self.tree_sum_rows(flat)
         if out_shape == ():
             return float(result.reshape(()))
@@ -96,8 +98,9 @@ class FormatArithmetic:
 
     def tree_sum_rows(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`tree_sum` of each row of a 2-D array already in the format,
-        skipping the (idempotent) input rounding; vectorized level by level."""
-        if rows.shape[-1] == 0:
+        skipping the (idempotent) input rounding; vectorized level by level.
+        No rows, or rows of length 0, give zeros of length ``len(rows)``."""
+        if rows.size == 0:
             return np.zeros(rows.shape[0], dtype=np.float64)
         current = rows
         k = self.tree_fan_in

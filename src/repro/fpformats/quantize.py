@@ -111,10 +111,15 @@ def _quantize_generic(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     if fmt.supports_subnormals:
         effective_exp = np.maximum(unbiased, fmt.min_normal_exponent)
     else:
-        effective_exp = unbiased
+        # Anything below half the smallest normal flushes to zero whatever
+        # its ulp; the clamp keeps a float64 subnormal's ulp from underflowing.
+        effective_exp = np.maximum(unbiased, fmt.min_normal_exponent - 1)
 
     ulp = np.exp2(effective_exp.astype(np.float64) - fmt.mantissa_bits)
-    quantized = np.rint(vals / ulp) * ulp
+    # Near float64's largest value the product overflows to inf, which the
+    # overflow check below keeps, as the native-dtype paths do silently.
+    with np.errstate(over="ignore"):
+        quantized = np.rint(vals / ulp) * ulp
 
     if not fmt.supports_subnormals:
         too_small = np.abs(quantized) < fmt.min_positive_normal

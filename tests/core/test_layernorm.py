@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.baselines.exact import exact_layernorm
 from repro.core.layernorm import IterL2Norm, IterL2NormConfig, iterl2norm_layernorm
+from repro.fpformats.spec import FORMATS
+
+FORMAT_NAMES = sorted({fmt.name for fmt in FORMATS.values()})
 
 
 class TestConfig:
@@ -92,6 +95,13 @@ class TestIterL2NormModule:
             errors.append(np.abs(layer(x) - exact).mean())
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] < 1e-5
+
+    @pytest.mark.parametrize("fmt", FORMAT_NAMES)
+    @pytest.mark.parametrize("shape", [(0, 8), (2, 0, 8), (0, 0, 8)])
+    def test_empty_batch_gives_empty_output(self, fmt, shape):
+        layer = IterL2Norm(8, IterL2NormConfig(fmt=fmt))
+        out = layer.forward(np.zeros(shape))
+        assert out.shape == shape and out.dtype == np.float64
 
     def test_wrong_last_dim_raises(self, rng):
         layer = IterL2Norm(16)

@@ -14,6 +14,8 @@ overflows to infinity (the exponent read of an infinite ``m``); NaN
 payloads, signed zeros and infinities must match too.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,10 @@ from repro.core.layernorm import IterL2Norm, IterL2NormConfig
 from repro.fpformats.arithmetic import FormatArithmetic
 from repro.fpformats.bitops import unbiased_exponent
 from repro.fpformats.quantize import quantize
-from repro.fpformats.spec import get_format
+from repro.fpformats.spec import FORMATS as REGISTRY, get_format
 
 FORMATS = ("fp64", "fp32", "fp16", "bf16", "fp8_e4m3")
+ALL_FORMATS = sorted({spec.name for spec in REGISTRY.values()})
 D_VALUES = (1, 7, 64, 128, 200, 1024)
 ROW_COUNTS = (1, 16, 256)
 SPECIAL_ROWS = ("zero", "constant", "subnormal", "overflow", "nan", "m_overflow")
@@ -215,6 +218,40 @@ def test_rows_whose_squared_norm_overflows(fmt, d):
     assert_bytes_equal(layer.forward(x), oracle_forward(layer, x))
     m = np.array([np.inf, 4.0, np.inf, 0.5])
     assert_bytes_equal(iterate_a_batch(m, fmt=fmt), oracle_iterate(m, fmt))
+
+
+def strict(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` under NumPy's default float-error handling,
+    with every warning raised as an error."""
+    with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call(*args, **kwargs)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS)
+def test_infinite_m_iterates_silently(fmt):
+    # An infinite m drives a to NaN; the table gather and the update loop
+    # report it the same way: not at all.
+    spec = get_format(fmt)
+    m = np.array([np.inf, 4.0, 2.0 * spec.max_finite, 1e308, -np.inf, np.nan])
+    for num_steps in (0, 1, 5):
+        for overrides in ({}, {"lam": 0.05}):
+            got = strict(iterate_a_batch, m, num_steps=num_steps, fmt=fmt, **overrides)
+            assert_bytes_equal(got, oracle_iterate(m, fmt, num_steps, **overrides))
+
+
+@pytest.mark.parametrize("kind", SPECIAL_ROWS)
+@pytest.mark.parametrize("fmt", [name for name in ALL_FORMATS if name != "fp64"])
+def test_special_rows_normalize_silently(fmt, kind):
+    # In fp64 an infinite m needs a float64 overflow in the squares or the
+    # adder tree, which NumPy reports; every rounded format saturates to inf
+    # in its rounder and then runs the iteration without a warning.
+    layer = make_layer(fmt, 8, seed=15)
+    rng = np.random.default_rng(16)
+    top = get_format(fmt).max_finite
+    x = np.stack([special_row(kind, fmt, 8, rng), top / 16.0 * np.arange(8)])
+    assert_bytes_equal(strict(layer.forward, x), oracle_forward(layer, x))
 
 
 # -- FormatArithmetic reductions ---------------------------------------------------

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.fpformats.arithmetic import FormatArithmetic
 from repro.fpformats.quantize import quantize
+from repro.fpformats.spec import FORMATS
+
+FORMAT_NAMES = sorted({fmt.name for fmt in FORMATS.values()})
 
 
 class TestElementaryOps:
@@ -65,6 +68,20 @@ class TestTreeSum:
     def test_empty_sum_is_zero(self):
         arith = FormatArithmetic("fp32")
         assert arith.tree_sum(np.array([])) == 0.0
+
+    @pytest.mark.parametrize("fmt", FORMAT_NAMES)
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((0, 5), 1), ((0, 5), 0), ((3, 0), 1), ((3, 0), 0), ((2, 0, 4), 2), ((2, 0, 4), 1), ((0,), 0)],
+    )
+    def test_empty_axes_match_numpy_shapes(self, fmt, shape, axis):
+        # Summing over an empty axis gives zeros; any other axis keeps its length.
+        arith = FormatArithmetic(fmt)
+        x = np.zeros(shape)
+        result = arith.tree_sum(x, axis=axis)
+        assert np.shape(result) == x.sum(axis=axis).shape
+        assert np.all(np.asarray(result) == 0.0)
+        assert arith.tree_sum_rows(np.zeros((0, 8))).shape == (0,)
 
     def test_single_element(self):
         arith = FormatArithmetic("bf16")

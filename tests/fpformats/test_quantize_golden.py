@@ -117,6 +117,12 @@ class TestNoSubnormalFlush:
         assert quantize(0.01, self.NOSUB) == 0.0
         assert quantize(-0.01, self.NOSUB) == 0.0
 
+    def test_float64_subnormal_input_flushes_to_zero(self):
+        tiny = np.array([5e-324, -5e-324, 1e-310, 0.49 * 2.0**-6, 0.51 * 2.0**-6])
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(quantize(tiny, self.NOSUB), np.zeros(5))
+            assert quantize(5e-324, self.NOSUB) == 0.0
+
     def test_same_value_survives_with_subnormals(self):
         # Sanity cross-check: with gradual underflow the value is kept as
         # the subnormal 7 * 2^-9.

@@ -147,15 +147,15 @@ class MultiHeadSelfAttention(Module):
         The Q/K/V/O projections run batched over the padded matrix — safe,
         because :func:`~repro.nn.functional.det_matmul` makes every output
         element an independent dot product.  The attention contraction is
-        the one place the pad mask matters: instead of adding ``-inf`` to a
-        dense padded score matrix (see
+        the one place the pad mask matters (see
         :func:`~repro.nn.functional.ragged_attention_mask`, which defines
-        the semantics), each row's scores/softmax/context are computed over
-        exactly that row's keys.  Slicing the pads off keeps the softmax
-        denominator and context accumulation orders identical to the
-        unpadded computation, so a row's output is bit-identical to
+        the semantics and states when a padded computation is exact).  This
+        reference kernel computes each row's scores/softmax/context over
+        exactly that row's keys, so a row's output is bit-identical to
         :meth:`forward_cached` on that row alone — the guarantee the
-        continuous-batching server's exactness tests pin down.
+        continuous-batching server's exactness tests pin down.  It is the
+        oracle for the compiled backend, which runs the core once over the
+        padded batch.
 
         Pad lanes of the output carry garbage (never NaN) and must be
         ignored by the caller; every downstream op is per-token, so they

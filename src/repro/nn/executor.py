@@ -23,14 +23,21 @@ precision policy.  This module makes that seam explicit:
     * pre-resolves every quantized weight once (``ops.weight`` memo hits at
       build time, not per token) and binds ``accum``/``act`` casters into
       per-layer closures — no per-token attribute chains or memo lookups;
-    * caches causal ragged masks keyed ``(new_len, total_len)`` and skips
-      the mask entirely for single-token rows (see note below);
     * batches the quantize-on-write KV path — one vectorized cast per
       layer per step instead of one per row, through the KV format's bound
       :func:`~repro.precision.ops.caster` — and hands pre-quantized slices
       to the caches through their ``append_raw`` fast path;
-    * reuses a preallocated context workspace across layers and a logits
-      output buffer across steps on the ragged path.
+    * runs the ragged attention core once per layer over the whole batch:
+      each row appends to its own cache, which packs the row's K/V history
+      straight into a zero-padded ``(batch, heads, max_total, head_dim)``
+      workspace (``append_raw(..., out)``), and one scores matmul, one
+      mask, one softmax and one context matmul cover every row.  The
+      lane/key geometry (masks, pad indices, workspace) is built once per
+      ``forward_ragged`` and shared by every layer;
+    * skips the causal mask when every row of a ragged step is a
+      single-token decode (see note below), and caches the causal masks of
+      single-row chunks keyed ``(new_len, total_len)``;
+    * reuses a logits output buffer across steps on the ragged path.
 
     The transformer block body exists once, in ``CompiledExecutor._block``:
     norm → q/k/v → head split → attention core → merge → out-projection →
@@ -57,15 +64,33 @@ arithmetic, never a re-association:
   same bytes as quantizing each row separately.  The ``append_raw`` gate
   falls back to plain ``append`` (which re-quantizes) when a cache does not
   expose the fast path; quantize is idempotent, so the fallback is bit-safe.
-* Single-token rows skip the mask add: ``causal_mask_offset(1, total)`` is
-  all zeros, and adding ``+0.0`` can only flip ``-0.0`` to ``+0.0``.  The
-  only consumer is ``det_softmax``, where ``exp(±0.0) == 1.0`` bitwise, so
-  the skip cannot change a downstream byte.
-* The context workspace is allocated per ``(batch, max_new)`` shape, exactly
-  mirroring the reference ``np.zeros_like(q)`` (zeroed; a transposed view of
-  a C-contiguous buffer).  Pad lanes are never written and their outputs
-  never used, as they never enter attention and every other op is
-  per-position; zeroing keeps uninitialized NaN/inf patterns out of them.
+* Single-token rows need no causal mask: ``causal_mask_offset(1, total)``
+  is all zeros, and adding ``+0.0`` can only flip ``-0.0`` to ``+0.0``.
+  The only consumer is ``det_softmax``, where ``exp(±0.0) == 1.0`` bitwise
+  and ``x - (±0.0)`` only moves the sign of a zero, so skipping the add —
+  or adding zeros to a decode row that shares a batch with prefill
+  chunks — cannot change a downstream byte.
+* The padded ragged attention core is bit-identical to attending each row
+  over exactly its own keys.  Scores contract over ``head_dim``, whose
+  length padding does not change; pad keys are forced to ``-inf`` with
+  ``np.where`` (so a NaN or inf score cannot leak through an add) and real
+  keys get the very causal mask the per-row path adds, so non-finite
+  scores propagate as they do there.  ``det_softmax`` sums its denominator
+  left to right, so the trailing ``exp(-inf) = 0`` terms leave it
+  unchanged; ``einsum(optimize=False)`` accumulates each context element
+  sequentially over keys, so the padded ``+0 * 0`` terms are exact no-ops.
+  The workspace is the ``[:max_total]`` slice of a longer, zero-filled
+  buffer — the layout class of the caches' own views.  It is allocated
+  per ``forward_ragged``, and every layer rewrites each row's real keys
+  and leaves its pad keys alone, so pad values are always finite zeros.
+  Pad *query* lanes attend over their row's real keys (their softmax
+  stays finite) and are written as zeros in the context, as the
+  reference's ``np.zeros_like(q)`` leaves them.  A single-row step
+  attends over the cache's own views: no copy, and no mask unless it is a
+  multi-token chunk.  ``TestDetMatmulZeroPadding`` pins the einsum
+  property by name; ``tests/serve/test_ragged_differential.py`` checks
+  the whole core against the reference on seeded random batches, byte
+  for byte.
 
 Because the logits buffer is reused, the array returned by the compiled
 ``forward_ragged`` is only valid until the next ``forward_ragged`` call on
@@ -286,8 +311,57 @@ class _Plan:
         self.kv_quant = caster(self.kv_fmt)
 
 
+class _RaggedGeometry:
+    """Lane/key layout of one ``forward_ragged`` batch, built once and shared
+    by every layer (all layers append the same lengths).
+
+    ``pads[r]`` is row ``r``'s count of leading pad query lanes.  ``k_ws`` /
+    ``v_ws`` are the padded K/V workspaces (``None`` for a single row, which
+    attends over its cache's own views).  ``causal`` is the additive causal
+    mask, ``None`` when every row is a single-token decode; ``key_pad`` marks
+    the pad keys past each row's history, ``None`` when every row has the
+    same length; ``pad_lanes`` indexes the pad query lanes of the context,
+    ``None`` when there are none.  ``mask(new_len, total_len)`` is the
+    executor's causal-mask cache, which a one-row chunk reuses.
+    """
+
+    __slots__ = ("pads", "k_ws", "v_ws", "causal", "key_pad", "pad_lanes")
+
+    def __init__(self, plan: _Plan, lens, totals, max_new: int, mask) -> None:
+        batch = lens.size
+        max_total = int(totals.max())
+        pads = max_new - lens
+        self.pads = pads.tolist()
+        self.k_ws = self.v_ws = None
+        self.causal = self.key_pad = self.pad_lanes = None
+        if batch > 1:
+            # Zero-filled, and a ``[:max_total]`` slice of a longer buffer:
+            # the layout class of the caches' own views (``SequenceKV.gather``).
+            shape = (batch, plan.num_heads, max_total + 1, plan.head_dim)
+            self.k_ws = np.zeros(shape)[:, :, :max_total]
+            self.v_ws = np.zeros(shape)[:, :, :max_total]
+            if np.any(totals < max_total):
+                keys = np.arange(max_total)
+                self.key_pad = (keys >= totals[:, None])[:, None, None, :]
+        if max_new > 1 and batch == 1 and not pads[0]:
+            self.causal = mask(max_new, max_total)  # a one-row chunk: cached
+        elif max_new > 1:
+            # Real lane i of row r sits at absolute position
+            # totals[r] - max_new + i and sees keys up to it; pad lanes see
+            # every key of their row.
+            lanes = np.arange(max_new)
+            limit = (totals - max_new)[:, None] + lanes
+            limit = np.where(lanes < pads[:, None], max_total, limit)
+            future = np.arange(max_total) > limit[:, :, None]
+            self.causal = np.where(future, -np.inf, 0.0)[:, None]
+            if np.any(pads):
+                rows, lanes = np.nonzero(lanes < pads[:, None])
+                self.pad_lanes = (rows, slice(None), lanes)
+
+
 class CompiledExecutor:
-    """Fast backend: flat pre-fused plan, batched KV quantize, reused buffers.
+    """Fast backend: flat pre-fused plan, batched KV quantize, batched ragged
+    attention, reused buffers.
 
     Byte-identical to :class:`ReferenceExecutor` under every precision
     policy (see the module docstring for why each shortcut is bit-safe).
@@ -302,7 +376,6 @@ class CompiledExecutor:
         self.model = model
         self._plan: _Plan | None = None
         self._masks: dict[tuple[int, int], np.ndarray] = {}
-        self._ctx_bufs: dict[tuple[int, int], np.ndarray] = {}
         self._logit_bufs: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- plan lifecycle ----------------------------------------------------
@@ -318,7 +391,6 @@ class CompiledExecutor:
         if plan is None or plan.version != model._plan_version:
             plan = self._plan = _Plan(model)
             self._masks.clear()
-            self._ctx_bufs.clear()
             self._logit_bufs.clear()
         return plan
 
@@ -331,20 +403,6 @@ class CompiledExecutor:
             mask = causal_mask_offset(new_len, total_len)
             self._masks[key] = mask
         return mask
-
-    def _context(self, plan: _Plan, batch: int, max_new: int) -> np.ndarray:
-        """A ``(batch, heads, max_new, head_dim)`` workspace laid out exactly
-        like the reference ``np.zeros_like(q)`` (transposed C-contiguous)."""
-        key = (batch, max_new)
-        buf = self._ctx_bufs.get(key)
-        if buf is None:
-            if len(self._ctx_bufs) >= self._BUFFER_CACHE_LIMIT:
-                self._ctx_bufs.clear()
-            buf = np.zeros(
-                (batch, max_new, plan.num_heads, plan.head_dim), dtype=np.float64
-            )
-            self._ctx_bufs[key] = buf
-        return buf.transpose(0, 2, 1, 3)
 
     def _logits_out(self, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._logit_bufs.get(shape)
@@ -415,48 +473,48 @@ class CompiledExecutor:
         if token_ids.ndim != 2:
             raise ValueError(f"token_ids must be 2-D, got shape {token_ids.shape}")
         batch, max_new = token_ids.shape
-        if token_ids.min() < 0 or token_ids.max() >= plan.vocab_size:
-            raise ValueError("token ids out of range for vocabulary")
-        lens = [int(n) for n in new_lens]
+        lens = np.asarray(new_lens, dtype=np.int64)
         caches = list(caches)
-        if len(lens) != batch or len(caches) != batch:
+        if lens.shape != (batch,) or len(caches) != batch:
             raise ValueError("token_ids, caches and new_lens must agree on batch")
+        if np.any(lens < 1) or np.any(lens > max_new):
+            raise ValueError(f"new_lens must be in [1, {max_new}], got {lens}")
+        if token_ids.size and (
+            token_ids.min() < 0 or token_ids.max() >= plan.vocab_size
+        ):
+            raise ValueError("token ids out of range for vocabulary")
         if last_k < 1 or last_k > max_new:
             raise ValueError(f"last_k must be in [1, {max_new}], got {last_k}")
         num_layers = len(plan.layers)
-        pasts = np.empty(batch, dtype=np.int64)
         for r, cache in enumerate(caches):
-            n = lens[r]
-            if not 1 <= n <= max_new:
-                raise ValueError(f"new_lens[{r}]={n} outside [1, {max_new}]")
             if len(cache.layers) != num_layers:
                 raise ValueError(
                     f"row {r}: cache has {len(cache.layers)} layers, "
                     f"model has {num_layers}"
                 )
-            past = cache.seq_len
-            if past + n > plan.max_position:
-                raise ValueError(
-                    f"row {r}: length {past + n} exceeds max_position "
-                    f"{plan.max_position}"
-                )
-            pasts[r] = past
+        pasts = np.array([cache.seq_len for cache in caches], dtype=np.int64)
+        totals = pasts + lens
+        if np.any(totals > plan.max_position):
+            r = int(np.argmax(totals))
+            raise ValueError(
+                f"row {r}: length {int(totals[r])} exceeds max_position "
+                f"{plan.max_position}"
+            )
 
-        offsets = np.arange(max_new)[None, :] - (
-            max_new - np.asarray(lens, dtype=np.int64)
-        )[:, None]
+        offsets = np.arange(max_new)[None, :] - (max_new - lens)[:, None]
         positions = np.maximum(pasts[:, None] + offsets, 0)
         hidden = plan.embed(token_ids, positions)
-        raw_ok = self._accepts_raw(
-            [cache.layers[0] for cache in caches], plan.kv_fmt
-        )
-        ctx = self._context(plan, batch, max_new)
-        for i, lp in enumerate(plan.layers):
-            views = [cache.layers[i] for cache in caches]
-            hidden = self._block(
-                plan, lp, hidden,
-                partial(self._attend_ragged, plan, views, lens, ctx, raw_ok),
+        if batch:  # an empty batch has nothing to attend over
+            raw_ok = self._accepts_raw(
+                [cache.layers[0] for cache in caches], plan.kv_fmt
             )
+            geometry = _RaggedGeometry(plan, lens, totals, max_new, self._mask)
+            for i, lp in enumerate(plan.layers):
+                views = [cache.layers[i] for cache in caches]
+                hidden = self._block(
+                    plan, lp, hidden,
+                    partial(self._attend_ragged, plan, views, geometry, raw_ok),
+                )
         hidden = plan.final_norm(hidden)
         if last_only:
             hidden = hidden[:, -last_k:, :]
@@ -495,31 +553,40 @@ class CompiledExecutor:
             scores = scores + self._mask(seq, k_all.shape[2])
         return plan.ctx_matmul(plan.softmax(scores), v_all)
 
-    def _attend_ragged(self, plan, views, lens, ctx, raw_ok, q, k_new, v_new):
-        """Attention core of ``forward_ragged``: each row appends and attends
-        over its right-aligned real lanes only, writing into ``ctx``."""
-        max_new = q.shape[2]
+    def _attend_ragged(self, plan, views, geometry, raw_ok, q, k_new, v_new):
+        """Attention core of ``forward_ragged``: each row appends its real
+        lanes to its own cache, then scores, mask, softmax and context run
+        once over the batch padded to its longest row (see the module
+        docstring for why the padding is bit-exact)."""
         if raw_ok:
             # One vectorized quantize per layer per step; per-row slices of
             # an elementwise quantize are bit-identical to per-row quantizes.
             k_new = plan.kv_quant(k_new)
             v_new = plan.kv_quant(v_new)
-        attn_scores, softmax, ctx_matmul = (
-            plan.attn_scores,
-            plan.softmax,
-            plan.ctx_matmul,
-        )
-        scale = plan.scale
-        for r, view in enumerate(views):
-            n = lens[r]
-            pad = max_new - n
-            append = view.append_raw if raw_ok else view.append
-            k_all, v_all = append(k_new[r : r + 1, :, pad:], v_new[r : r + 1, :, pad:])
-            scores = attn_scores(q[r : r + 1, :, pad:], k_all.transpose(0, 1, 3, 2), scale)
-            if n > 1:
-                scores = scores + self._mask(n, k_all.shape[2])
-            ctx[r : r + 1, :, pad:] = ctx_matmul(softmax(scores), v_all)
-        return ctx
+        pads = geometry.pads
+        if geometry.k_ws is None:  # one row: attend over the cache's own views
+            append = views[0].append_raw if raw_ok else views[0].append
+            k_ws, v_ws = append(k_new[:, :, pads[0] :], v_new[:, :, pads[0] :])
+        else:
+            k_ws, v_ws = geometry.k_ws, geometry.v_ws
+            for r, view in enumerate(views):
+                k_r = k_new[r : r + 1, :, pads[r] :]
+                v_r = v_new[r : r + 1, :, pads[r] :]
+                if raw_ok:  # the cache packs its history straight into row r
+                    view.append_raw(k_r, v_r, (k_ws[r : r + 1], v_ws[r : r + 1]))
+                else:
+                    k_all, v_all = view.append(k_r, v_r)
+                    k_ws[r, :, : k_all.shape[2]] = k_all[0]
+                    v_ws[r, :, : v_all.shape[2]] = v_all[0]
+        scores = plan.attn_scores(q, k_ws.transpose(0, 1, 3, 2), plan.scale)
+        if geometry.causal is not None:
+            scores = scores + geometry.causal
+        if geometry.key_pad is not None:
+            scores = np.where(geometry.key_pad, -np.inf, scores)
+        context = plan.ctx_matmul(plan.softmax(scores), v_ws)
+        if geometry.pad_lanes is not None:
+            context[geometry.pad_lanes] = 0.0
+        return context
 
 
 EXECUTORS = {

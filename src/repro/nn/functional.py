@@ -215,13 +215,18 @@ def ragged_attention_mask(
     finite.
 
     This dense mask defines the semantics of the ragged batched forward.
-    The production kernel (:meth:`MultiHeadSelfAttention.forward_ragged
+    The reference kernel (:meth:`MultiHeadSelfAttention.forward_ragged
     <repro.nn.attention.MultiHeadSelfAttention.forward_ragged>`) applies
-    the *same* masking by slicing pad keys off before the contraction
-    instead of adding ``-inf``: mathematically identical, but bit-exact
-    with the unpadded computation, which an additive mask is not (padding
-    the softmax axis regroups NumPy's pairwise summation and can move the
-    result by an ulp).
+    it by slicing each row's pad keys off before the contraction; the
+    compiled backend (:class:`~repro.nn.executor.CompiledExecutor`) pads
+    every row's keys with zeros up to the longest row and masks them.
+    Both are bit-exact with the unpadded computation.  A padded
+    computation is exact when the softmax is :func:`det_softmax` (plain
+    :func:`softmax` sums with NumPy's pairwise reduction, which regroups
+    addends by row length, so padding can move it by an ulp), when pad
+    keys are set to ``-inf`` with ``np.where`` rather than added to (a NaN
+    or inf score survives an add), and when pad values are finite, so
+    every ``0 * v`` term of the context sum is an exact zero.
     """
     new_lens = np.asarray(new_lens, dtype=np.int64)
     past_lens = np.asarray(past_lens, dtype=np.int64)

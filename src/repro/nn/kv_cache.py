@@ -126,7 +126,9 @@ class LayerKVCache:
                 )
         return self._write(self._cast(k), self._cast(v))
 
-    def append_raw(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def append_raw(
+        self, k: np.ndarray, v: np.ndarray, out=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Append K/V that are **already** in :attr:`kv_fmt` storage bytes.
 
         Fast path for executors that quantize a whole step's K/V in one
@@ -134,8 +136,19 @@ class LayerKVCache:
         per-call quantize are skipped.  Because :func:`quantize` is
         elementwise and idempotent, the bytes written here are identical to
         routing the raw values through :meth:`append`.
+
+        ``out = (k_out, v_out)``, two arrays at least as long as the cache
+        along the sequence axis, receive a copy of the whole history, and
+        views of their leading positions are returned instead of the
+        cache's own (the pooled cache's ``gather`` contract).
         """
-        return self._write(k, v)
+        k_all, v_all = self._write(k, v)
+        if out is None:
+            return k_all, v_all
+        k_out, v_out = out
+        k_out[:, :, : self._len] = k_all
+        v_out[:, :, : self._len] = v_all
+        return k_out[:, :, : self._len], v_out[:, :, : self._len]
 
     def _write(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         batch, heads, new, head_dim = k.shape

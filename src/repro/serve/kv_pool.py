@@ -74,6 +74,7 @@ notes on layout classes).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -1016,10 +1017,15 @@ class _LayerView:
     expects from a cache.
     """
 
-    __slots__ = ("seq", "layer")
+    __slots__ = ("seq", "pool", "layer")
 
     def __init__(self, seq: "SequenceKV", layer: int) -> None:
-        self.seq = seq
+        # Weak: the sequence holds its views, so a strong back-reference
+        # would make every sequence a reference cycle that keeps it, and
+        # through it the whole pool, alive until the cyclic collector runs.
+        # A view therefore appends only while its sequence is referenced.
+        self.seq = weakref.proxy(seq)
+        self.pool = seq.pool
         self.layer = layer
 
     @property
@@ -1029,13 +1035,15 @@ class _LayerView:
     @property
     def kv_fmt(self):
         """Storage format K/V are quantized to on write (``None`` = fp64)."""
-        return self.seq.pool.kv_fmt
+        return self.pool.kv_fmt
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.seq.append_many(self.layer, k, v)
 
-    def append_raw(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.seq.append_raw(self.layer, k, v)
+    def append_raw(
+        self, k: np.ndarray, v: np.ndarray, out=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self.seq.append_raw(self.layer, k, v, out)
 
 
 class SequenceKV:
@@ -1161,7 +1169,7 @@ class SequenceKV:
         return self._write_chunk(layer, cast(k), cast(v))
 
     def append_raw(
-        self, layer: int, k: np.ndarray, v: np.ndarray
+        self, layer: int, k: np.ndarray, v: np.ndarray, out=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Write a chunk whose bytes are **already** in :attr:`BlockKVPool.kv_fmt`.
 
@@ -1169,14 +1177,14 @@ class SequenceKV:
         append per-row slices; quantize is elementwise and idempotent, so
         the stored bytes equal routing the raw chunk through
         :meth:`append_many`.  Validation is skipped — callers own the
-        shape contract.
+        shape contract.  ``out`` is passed on to :meth:`gather`.
         """
         if self._released:
             raise RuntimeError("SequenceKV used after release()")
-        return self._write_chunk(layer, k, v)
+        return self._write_chunk(layer, k, v, out)
 
     def _write_chunk(
-        self, layer: int, k: np.ndarray, v: np.ndarray
+        self, layer: int, k: np.ndarray, v: np.ndarray, out=None
     ) -> tuple[np.ndarray, np.ndarray]:
         bs = self.pool.block_size
         start = self._layer_len[layer]
@@ -1204,7 +1212,7 @@ class SequenceKV:
             pos += take
             taken += take
         self._layer_len[layer] = end
-        return self.gather(layer)
+        return self.gather(layer, out)
 
     def rollback(self, n: int) -> None:
         """Discard the last ``n`` committed positions (rejected draft tokens).
@@ -1244,7 +1252,7 @@ class SequenceKV:
         self._layer_len = [new_len] * self.pool.num_layers
         self.adopted_tokens = min(self.adopted_tokens, new_len)
 
-    def gather(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+    def gather(self, layer: int, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Pack the layer's blocks into ``(1, heads, seq, head_dim)`` views.
 
         The workspace is kept strictly longer than the sequence and the
@@ -1255,15 +1263,24 @@ class SequenceKV:
         The workspace persists across calls (each call rewrites it from
         the blocks, so copy-on-write forks are picked up transparently)
         and doubles on growth, amortizing allocation over a decode.
+
+        ``out = (k_out, v_out)``, two ``(1, heads, >= seq, head_dim)``
+        arrays, replaces the workspace: the history is packed into their
+        leading ``seq`` positions and views of those are returned.  The
+        compiled executor gathers each row straight into its padded batch
+        workspace this way.
         """
         length = self._layer_len[layer]
         pool, bs = self.pool, self.pool.block_size
-        k_out, v_out = self._ws_k[layer], self._ws_v[layer]
-        if k_out is None or k_out.shape[2] <= length:
-            capacity = max(length + 1, 2 * (0 if k_out is None else k_out.shape[2]))
-            k_out = np.empty((1, pool.num_heads, capacity, pool.head_dim))
-            v_out = np.empty_like(k_out)
-            self._ws_k[layer], self._ws_v[layer] = k_out, v_out
+        if out is not None:
+            k_out, v_out = out
+        else:
+            k_out, v_out = self._ws_k[layer], self._ws_v[layer]
+            if k_out is None or k_out.shape[2] <= length:
+                capacity = max(length + 1, 2 * (0 if k_out is None else k_out.shape[2]))
+                k_out = np.empty((1, pool.num_heads, capacity, pool.head_dim))
+                v_out = np.empty_like(k_out)
+                self._ws_k[layer], self._ws_v[layer] = k_out, v_out
         for i, block in enumerate(self.block_ids):
             lo = i * bs
             if lo >= length:

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.nn.config import get_config
-from repro.nn.functional import det_softmax, ragged_attention_mask, softmax
+from repro.nn.config import OPT_CONFIGS, get_config
+from repro.nn.functional import (
+    det_matmul,
+    det_softmax,
+    ragged_attention_mask,
+    softmax,
+)
 from repro.nn.model import OPTLanguageModel
 
 
@@ -55,6 +60,61 @@ class TestDetSoftmax:
             np.testing.assert_array_equal(
                 det_softmax(x), det_softmax(padded)[..., :n]
             )
+
+
+def as_bits(a):
+    """Exact bytes of a float64 array, so ``-0.0`` and NaN payloads count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def strided_keys(rng, batch, heads, length, head_dim, pad=0):
+    """``(batch, heads, length + pad, head_dim)`` keys whose ``pad`` trailing
+    positions are zeros, as the ``[:length + pad]`` slice of a longer buffer
+    (the layout the KV caches and the padded attention workspace return)."""
+    buf = np.zeros((batch, heads, length + pad + 3, head_dim))
+    buf[:, :, :length] = rng.normal(size=(batch, heads, length, head_dim))
+    return buf[:, :, : length + pad]
+
+
+class TestDetMatmulZeroPadding:
+    """The property the compiled backend's padded ragged attention rests on:
+    zero-padding the key axis never moves a byte of ``det_matmul``."""
+
+    HEAD_DIMS = sorted({c.embed_dim // c.num_heads for c in OPT_CONFIGS.values()})
+
+    @pytest.mark.parametrize("head_dim", HEAD_DIMS)
+    def test_context_invariant_to_zero_padded_contraction(self, head_dim, rng):
+        """``weights @ v`` over ``T`` keys equals the same product over
+        ``T + pad`` keys whose pad weights and pad values are zeros."""
+        for length in (1, 2, 7, 16, 33, 100):
+            for pad in (1, 5, 28):
+                v = strided_keys(rng, 2, 3, length, head_dim)
+                v_padded = strided_keys(rng, 2, 3, length, head_dim, pad)
+                v_padded[:, :, :length] = v
+                weights = det_softmax(rng.normal(size=(2, 3, 4, length)) * 3)
+                w_padded = np.zeros((2, 3, 4, length + pad))
+                w_padded[..., :length] = weights
+                assert np.array_equal(
+                    as_bits(det_matmul(w_padded, v_padded)),
+                    as_bits(det_matmul(weights, v)),
+                ), (head_dim, length, pad)
+
+    @pytest.mark.parametrize("head_dim", HEAD_DIMS)
+    def test_scores_invariant_to_zero_padded_keys(self, head_dim, rng):
+        """``q @ k.T`` contracts over ``head_dim``: padding keys only adds
+        output columns, and the real columns keep their bytes."""
+        for length in (1, 9, 64):
+            for pad in (1, 31):
+                k = strided_keys(rng, 2, 3, length, head_dim)
+                k_padded = strided_keys(rng, 2, 3, length, head_dim, pad)
+                k_padded[:, :, :length] = k
+                q = rng.normal(size=(2, 4, 3, head_dim)).transpose(0, 2, 1, 3)
+                padded = det_matmul(q, k_padded.transpose(0, 1, 3, 2))
+                assert np.array_equal(
+                    as_bits(padded[..., :length]),
+                    as_bits(det_matmul(q, k.transpose(0, 1, 3, 2))),
+                ), (head_dim, length, pad)
+                assert not np.any(padded[..., length:])
 
 
 class TestForwardRaggedExactness:
@@ -108,7 +168,6 @@ class TestForwardRaggedExactness:
     def test_attention_kernel_matches_dense_masked_reference(self, rng):
         """Slicing pads off == applying the additive -inf mask (semantics)."""
         from repro.nn.attention import MultiHeadSelfAttention
-        from repro.nn.functional import det_matmul
         from repro.nn.kv_cache import LayerKVCache
 
         attn = MultiHeadSelfAttention(16, 2, rng=rng)

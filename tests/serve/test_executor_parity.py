@@ -271,6 +271,35 @@ class TestMalformedInputs:
             close_executor(executor)
 
 
+class TestDegenerateRaggedShapes:
+    """Edge shapes of ``forward_ragged``: every backend does what the
+    reference does, not whatever NumPy raises on an empty reduction."""
+
+    @pytest.mark.parametrize("backend", ("reference",) + FAST_BACKENDS)
+    @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
+    def test_empty_batch_returns_empty_logits(self, policy, backend):
+        model = make_model(policy)
+        executor = resolve_executor(backend, model)
+        try:
+            logits = executor.forward_ragged(np.zeros((0, 1)), [], [])
+            assert logits.shape == (0, 1, model.config.vocab_size)
+        finally:
+            close_executor(executor)
+
+    @pytest.mark.parametrize("backend", ("reference",) + FAST_BACKENDS)
+    @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
+    def test_zero_width_ids_name_new_lens(self, policy, backend):
+        model = make_model(policy)
+        executor = resolve_executor(backend, model)
+        try:
+            with pytest.raises(ValueError, match=r"new_lens must be in \[1, 0\]"):
+                executor.forward_ragged(
+                    np.zeros((1, 0), dtype=np.int64), [model.new_kv_cache()], [1]
+                )
+        finally:
+            close_executor(executor)
+
+
 class TestExecutorContract:
     def test_registry_and_resolution(self):
         model = make_model()

@@ -1,5 +1,9 @@
 """Block pool: allocation, reuse, amortized growth, gather correctness."""
 
+import gc
+import weakref
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -128,6 +132,22 @@ class TestSequenceKV:
         seq.release()
         seq.release()
         assert pool.blocks_in_use == 0
+
+    def test_dropped_sequence_frees_without_cyclic_collector(self):
+        """A sequence and its layer views form no reference cycle, so the
+        last reference going away frees the sequence — and a pool no one
+        else holds — at once, not whenever the cyclic collector next runs."""
+        pool = make_pool()
+        seq = pool.sequence()
+        seq.layers[0].append(np.zeros((1, 2, 5, 4)), np.zeros((1, 2, 5, 4)))
+        seq.release()
+        seq_ref, pool_ref = weakref.ref(seq), weakref.ref(pool)
+        gc.disable()
+        try:
+            del seq, pool
+            assert seq_ref() is None and pool_ref() is None
+        finally:
+            gc.enable()
 
     def test_use_after_release_rejected(self):
         pool = make_pool()
@@ -366,6 +386,27 @@ class TestAppendRaw:
             k_ref, v_ref = via_append.append(k, v)
             np.testing.assert_array_equal(k_raw, k_ref)
             np.testing.assert_array_equal(v_raw, v_ref)
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_append_raw_out_packs_history_into_given_arrays(self, pooled):
+        """With ``out``, the whole history lands in the caller's arrays —
+        the compiled executor's padded batch workspace — and the returned
+        views are those arrays, byte-equal to the cache's own history."""
+        rng = np.random.default_rng(7)
+        if pooled:
+            cache = make_pool(kv_fmt="fp8_e4m3").sequence()
+            append, history = partial(cache.append_raw, 0), partial(cache.gather, 0)
+        else:
+            cache = LayerKVCache(fmt="fp8_e4m3")
+            append, history = cache.append_raw, lambda: (cache.k, cache.v)
+        k_out, v_out = np.zeros((1, 2, 16, 4)), np.zeros((1, 2, 16, 4))
+        for chunk in (5, 1, 3):
+            k, v = rng.normal(size=(2, 1, 2, chunk, 4))
+            k_got, v_got = append(k, v, (k_out, v_out))
+            assert np.shares_memory(k_got, k_out) and np.shares_memory(v_got, v_out)
+            for got, want in zip((k_got, v_got), history()):
+                np.testing.assert_array_equal(got, want)
+        assert not np.any(k_out[:, :, 9:]) and not np.any(v_out[:, :, 9:])
 
     def test_append_raw_rejects_released_sequence(self):
         pool = make_pool()

@@ -16,10 +16,6 @@ models:
   ``--policy`` serves under a named precision policy;
   ``--decode-strategy prompt-lookup`` compares speculative decoding
   against its one-token baseline on the copy-heavy grid).
-* ``cluster-bench`` — the multi-replica cluster serving benchmark
-  (replica counts x routing policies x scenarios, writes
-  ``BENCH_cluster.json``; ``prefix-affinity`` routing is compared
-  against the ``round-robin`` baseline per cell).
 * ``shard-bench`` — the tensor-sharded serving benchmark (shard counts
   x fan-out drivers x scenarios, each cell paired with its N=1 twin and
   the reference backend, writes ``BENCH_shard.json``; token digests
@@ -198,60 +194,6 @@ def _cmd_serve_bench(args) -> None:
         raise SystemExit(f"serve-bench: {message}")
 
 
-def _cmd_cluster_bench(args) -> None:
-    from repro.cluster.bench import run_cluster_bench
-
-    try:
-        replicas = tuple(int(r) for r in args.replicas.split(","))
-    except ValueError:
-        raise SystemExit(
-            f"cluster-bench: --replicas must be a comma-separated list of "
-            f"integers, got {args.replicas!r}"
-        )
-    capacity_weights = None
-    if args.capacity_weights:
-        try:
-            capacity_weights = [
-                float(w) for w in args.capacity_weights.split(",")
-            ]
-        except ValueError:
-            raise SystemExit(
-                f"cluster-bench: --capacity-weights must be a comma-separated "
-                f"list of numbers, got {args.capacity_weights!r}"
-            )
-    try:
-        run_cluster_bench(
-            quick=args.quick,
-            jobs_n=args.jobs,
-            seed=args.seed,
-            out_path=args.out,
-            scenarios=args.scenarios or None,
-            routings=tuple(args.routing.split(",")),
-            replicas=replicas,
-            sessions=args.sessions,
-            cache_dir=args.cache_dir,
-            use_cache=args.use_cache,
-            no_cache=args.no_cache,
-            policy=args.policy,
-            rate_scale=args.rate_scale,
-            max_batch_size=args.max_batch_size,
-            block_size=args.block_size,
-            prefill_budget=args.prefill_budget,
-            max_blocks=args.max_blocks,
-            backend=args.backend,
-            capacity_weights=capacity_weights,
-            tier_blocks=args.tier_blocks,
-            tier_ratio=args.tier_ratio,
-            tier_fmt=args.tier_fmt,
-            slo_aware=args.slo_aware,
-        )
-    except (ValueError, KeyError) as exc:
-        # Same contract as serve-bench: bad --routing/--replicas/--policy
-        # presets are one-line usage errors, not worker tracebacks.
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"cluster-bench: {message}")
-
-
 def _cmd_shard_bench(args) -> None:
     from repro.shard.bench import run_shard_bench
 
@@ -321,7 +263,6 @@ def _cmd_all(args) -> None:
         seed=args.seed,
         include_serve=args.serve,
         include_precision=args.precision,
-        include_cluster=args.cluster,
         policy=args.policy,
         backend=args.backend,
     )
@@ -479,79 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve_bench)
 
     p = sub.add_parser(
-        "cluster-bench",
-        help="multi-replica cluster serving benchmark "
-             "(replicas x routing policies, writes BENCH_cluster.json)",
-    )
-    p.add_argument("--quick", action="store_true", help="12 sessions per scenario")
-    p.add_argument("--out", default="BENCH_cluster.json", metavar="PATH")
-    p.add_argument(
-        "--scenarios", nargs="*", metavar="NAME",
-        help="subset of scenarios (default: chat-multiturn agent-fanout)",
-    )
-    p.add_argument(
-        "--routing", default="round-robin,least-loaded,prefix-affinity",
-        metavar="P,...",
-        help="comma-separated routing policies to sweep "
-             "(round-robin, least-loaded, prefix-affinity)",
-    )
-    p.add_argument(
-        "--replicas", default="2", metavar="R,...",
-        help="comma-separated replica counts to sweep (each >= 1)",
-    )
-    p.add_argument(
-        "--sessions", type=int, default=None, metavar="N",
-        help="size workloads in sessions (a chat conversation or fan-out "
-             "group each); scales to tens of thousands",
-    )
-    p.add_argument(
-        "--rate-scale", type=float, default=4.0, metavar="S",
-        help="multiply every scenario's arrival rate (default 4.0: the "
-             "shared-prefix scenarios under enough load that routing "
-             "placement matters)",
-    )
-    p.add_argument(
-        "--max-batch-size", type=int, default=4, metavar="N",
-        help="decode slots per replica (cluster capacity = R x N)",
-    )
-    p.add_argument(
-        "--capacity-weights", default=None, metavar="W,W,...",
-        help="relative per-replica capacities, e.g. 2,1 for a 2x-skewed "
-             "pair (scales each replica's decode slots; load-aware "
-             "routing divides load by weight)",
-    )
-    p.add_argument(
-        "--block-size", type=int, default=8, metavar="TOKENS",
-        help="KV block size (smaller = finer-grained prefix sharing)",
-    )
-    p.add_argument(
-        "--prefill-budget", type=int, default=None, metavar="TOKENS",
-        help="per-iteration chunked-prefill cap, per replica",
-    )
-    p.add_argument(
-        "--max-blocks", type=int, default=None, metavar="N",
-        help="bound each replica's KV pool at N blocks (exhaustion "
-             "preempts deterministically; required by --tier-ratio)",
-    )
-    p.add_argument(
-        "--policy", default="fp64-ref",
-        help="precision policy of the served model",
-    )
-    p.add_argument(
-        "--backend", default="reference",
-        help="execution backend of every replica ('reference', 'compiled', "
-             "'sharded:N[:sim|process][:pin]'; process-driver replicas "
-             "share one warm worker pool)",
-    )
-    p.add_argument(
-        "--use-cache", action="store_true",
-        help="replay cells from the result cache (off by default)",
-    )
-    _add_tier_arguments(p)
-    add_engine_arguments(p)
-    p.set_defaults(func=_cmd_cluster_bench)
-
-    p = sub.add_parser(
         "shard-bench",
         help="tensor-sharded serving benchmark (shard counts x drivers x "
              "scenarios, each cell paired with its N=1 twin; writes "
@@ -652,10 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--precision", action="store_true",
         help="also run the precision-policy sweep section",
-    )
-    p.add_argument(
-        "--cluster", action="store_true",
-        help="also run the multi-replica cluster serving section",
     )
     p.add_argument(
         "--policy", default="fp64-ref",

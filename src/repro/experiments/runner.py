@@ -54,32 +54,11 @@ def _merge_serve_rows(groups: list[object]) -> tuple[object, str]:
     return rows, "\n".join(lines)
 
 
-def _merge_cluster_rows(groups: list[object]) -> tuple[object, str]:
-    """Fold the cluster-bench cells back into one section table."""
-    rows = list(groups)
-    header = (
-        "scenario       routing          R     tokens/s   prefix hit  "
-        "imbalance  fairness   spill"
-    )
-    lines = [header]
-    for row in rows:
-        cluster = row["cluster"]
-        lines.append(
-            f"{row['scenario']:14s} {row['routing']:15s} "
-            f"{row['replicas']:2d} {cluster['aggregate_tokens_per_second']:10.1f}  "
-            f"{cluster['prefix_hit_rate'] * 100:9.1f}%  "
-            f"{cluster['load_imbalance']:8.3f}  {cluster['jain_fairness']:8.3f}  "
-            f"{cluster['routing']['spill_count']:5d}"
-        )
-    return rows, "\n".join(lines)
-
-
 #: Sections whose jobs are merged back into one table after scheduling.
 _MERGED_SECTIONS = {
     "Table IV": table4.merge_cell_rows,
     "Serve bench": _merge_serve_rows,
     "Precision sweep": precision_sweep.merge_cell_rows,
-    "Cluster bench": _merge_cluster_rows,
 }
 
 
@@ -88,7 +67,6 @@ def build_sections(
     seed: int = 0,
     include_serve: bool = False,
     include_precision: bool = False,
-    include_cluster: bool = False,
     policy: str = "fp64-ref",
     decode_strategy: str = "one-token",
     ngram: int | None = None,
@@ -171,15 +149,6 @@ def build_sections(
                 **spec_knobs,
             )
         sections.append(("Serve bench", serve_jobs))
-    if include_cluster:
-        from repro.cluster import bench as cluster_bench
-
-        # Replica counts x routing policies on the shared-prefix scenarios:
-        # every cell serves the identical workload, so the section isolates
-        # what routing placement does to hit rate and aggregate throughput.
-        sections.append(
-            ("Cluster bench", cluster_bench.jobs(quick=quick, seed=seed))
-        )
     if include_precision:
         sections.append(
             ("Precision sweep", precision_sweep.jobs(quick=quick, seed=seed))
@@ -197,7 +166,6 @@ def run_all(
     use_cache: bool = True,
     include_serve: bool = False,
     include_precision: bool = False,
-    include_cluster: bool = False,
     policy: str = "fp64-ref",
     decode_strategy: str = "one-token",
     ngram: int | None = None,
@@ -230,9 +198,6 @@ def run_all(
         (``--serve`` on the CLI).
     include_precision:
         Append the precision-policy sweep section (``--precision``).
-    include_cluster:
-        Append the multi-replica cluster-bench section (``--cluster``):
-        replica counts x routing policies on the shared-prefix scenarios.
     policy:
         Precision policy of the serve-bench section's model (``--policy``).
     decode_strategy / ngram / max_draft:
@@ -248,7 +213,6 @@ def run_all(
         seed=seed,
         include_serve=include_serve,
         include_precision=include_precision,
-        include_cluster=include_cluster,
         policy=policy,
         decode_strategy=decode_strategy,
         ngram=ngram,
@@ -302,11 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also run the precision-policy sweep section",
     )
     parser.add_argument(
-        "--cluster", action="store_true",
-        help="also run the multi-replica cluster serving section "
-             "(replica counts x routing policies)",
-    )
-    parser.add_argument(
         "--policy", default="fp64-ref",
         help="precision policy of the serve-bench section's model",
     )
@@ -339,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         include_serve=args.serve,
         include_precision=args.precision,
-        include_cluster=args.cluster,
         policy=args.policy,
         decode_strategy=args.decode_strategy,
         ngram=args.ngram,

@@ -81,9 +81,9 @@ class ServeReport:
     completed: list[CompletedRequest]
     metrics: dict
     pool_stats: dict
-    #: The recorder that produced ``metrics``, kept so reports can be
-    #: merged from raw samples (cluster aggregation) instead of from the
-    #: already-reduced summary.  ``None`` on hand-built reports.
+    #: The recorder that produced ``metrics``, kept so callers can read
+    #: the raw per-step and per-token samples behind the already-reduced
+    #: summary.  ``None`` on hand-built reports.
     recorder: MetricsRecorder | None = field(default=None, repr=False, compare=False)
     #: Lazily built request_id -> CompletedRequest map backing :meth:`by_id`.
     _index: dict[str, CompletedRequest] | None = field(
@@ -94,44 +94,6 @@ class ServeReport:
         if self._index is None:
             self._index = {c.request_id: c for c in self.completed}
         return self._index[request_id]
-
-    @classmethod
-    def merge(
-        cls, reports: list["ServeReport"], max_batch_size: int | None = None
-    ) -> "ServeReport":
-        """Pool several engines' reports into one cluster-level report.
-
-        Distributions (TTFT, inter-token latency, step time, ...) are
-        recomputed from the union of the raw per-replica samples — *never*
-        by averaging the per-replica summaries, which would weight every
-        replica equally regardless of how many requests it served (and
-        percentiles of percentiles are meaningless anyway).  Requires every
-        report to still carry its :class:`~repro.serve.metrics
-        .MetricsRecorder`; ``pool_stats`` counters are summed.
-        ``max_batch_size`` should be the cluster-wide decode-slot total so
-        the merged occupancy utilization stays a [0, 1] fraction.
-        """
-        if not reports:
-            raise ValueError("cannot merge zero reports")
-        recorders = []
-        for report in reports:
-            if report.recorder is None:
-                raise ValueError(
-                    "ServeReport.merge needs reports with raw recorders "
-                    "(reports built by ServeEngine keep one)"
-                )
-            recorders.append(report.recorder)
-        merged = MetricsRecorder.merged(recorders)
-        pool_stats: dict[str, int] = {}
-        for report in reports:
-            for key, value in report.pool_stats.items():
-                pool_stats[key] = pool_stats.get(key, 0) + int(value)
-        return cls(
-            completed=merged.completed,
-            metrics=merged.summary(max_batch_size=max_batch_size),
-            pool_stats=pool_stats,
-            recorder=merged,
-        )
 
 
 @dataclass
@@ -272,14 +234,13 @@ class ServeEngine:
         self.timer = timer or time.perf_counter
         self._recorder: MetricsRecorder | None = None
 
-    # -- the stepwise interface (what a cluster router drives) ---------------------
+    # -- the stepwise interface ----------------------------------------------------
     def begin(self) -> None:
         """Start a serve session: fresh metrics, ready for external stepping.
 
-        :meth:`serve` calls this itself; a :class:`~repro.cluster.router
-        .ClusterRouter` calls it once per replica and then drives the
-        engine through :meth:`submit` / :meth:`step_at` on a *shared*
-        virtual clock.
+        :meth:`serve` calls this itself and then drives the engine
+        through :meth:`submit` / :meth:`step_at`; an external driver that
+        owns the clock and the arrival stream does the same.
 
         Backends exposing ``prepare()`` are warmed up here — a sharded
         executor forks its worker processes and packs weight slices into
@@ -320,53 +281,14 @@ class ServeEngine:
             )
         self.scheduler.enqueue(request)
 
-    def load_snapshot(self) -> dict:
-        """O(batch) occupancy snapshot for router-side load balancing.
-
-        ``load`` is the headline scalar (requests queued or holding a
-        slot); the rest breaks it down so routing policies can weigh slot
-        pressure against KV pressure.  ``prefill_backlog_tokens`` counts
-        prompt positions admitted but not yet computed — the work a new
-        arrival would queue behind.
-        """
-        scheduler = self.scheduler
-        active = scheduler.active()
-        return {
-            "queue_depth": scheduler.queue_depth,
-            "active": len(active),
-            "max_batch_size": scheduler.max_batch_size,
-            "free_slots": scheduler.max_batch_size - len(active),
-            "blocks_in_use": self.pool.blocks_in_use,
-            "prefill_backlog_tokens": sum(
-                len(state.prompt_window) - state.prefill_pos
-                for state in active
-                if state.needs_prefill
-            ),
-            "load": scheduler.queue_depth + len(active),
-        }
-
-    def drain_prefix_evictions(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Span paths the prefix cache evicted since the last drain.
-
-        A cluster router mirrors dispatched prompt spans into its own
-        :class:`~repro.cluster.router.RouterPrefixIndex`; when this
-        replica's pool evicts a cached prefix under pressure, the router
-        must expire the matching index subtree or keep routing on KV that
-        no longer exists.  Empty when prefix caching is off.
-        """
-        if self.pool.prefix is None:
-            return []
-        return self.pool.prefix.drain_evicted_paths()
-
     def step_at(self, now: float) -> float:
         """Run one iteration with the virtual clock at ``now``.
 
         Admits from the queue, plans, reserves (possibly preempting), runs
         the ragged forward, and commits tokens at ``now + elapsed``.
-        Returns the measured ``elapsed`` seconds so the caller — the
-        single-engine :meth:`serve` loop or a cluster router stepping R
-        replicas in lockstep — advances its clock by exactly the time this
-        step consumed.  Requires :meth:`begin`.
+        Returns the measured ``elapsed`` seconds so the caller advances
+        its clock by exactly the time this step consumed.  Requires
+        :meth:`begin`.
         """
         recorder = self._recorder
         if recorder is None:

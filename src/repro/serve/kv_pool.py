@@ -171,6 +171,78 @@ def _common_prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return n
 
 
+# The trie walks below are module-level functions that take ``pool`` as an
+# argument.  A nested ``walk`` that calls itself sits in a reference cycle
+# (function -> closure cell -> function) whose cells also hold the pool, so
+# every call would leave the whole pool, K/V arrays included, for the
+# cyclic collector to find.
+def _walk_evictable(node: _TrieNode, pool: "BlockKVPool", out: list) -> bool:
+    """Post-order collect of hot droppables; returns whether all is cold."""
+    all_cold = True
+    for key, entry in node.children.items():
+        sub_cold = _walk_evictable(entry.node, pool, out)
+        if entry.block_id is None:
+            all_cold = all_cold and sub_cold
+            continue
+        all_cold = False
+        if sub_cold and pool.refcount(entry.block_id) == 1:
+            out.append((entry.last_used, node.children, key, entry))
+    for entry in node.partials:
+        all_cold = False
+        if pool.refcount(entry.block_id) == 1:
+            out.append((entry.last_used, node.partials, entry, entry))
+    return all_cold
+
+
+def _walk_reclaimable(node: _TrieNode, pool: "BlockKVPool") -> tuple[int, bool]:
+    """Reclaimable blocks under ``node``, and whether all of it is reclaimable."""
+    count, subtree_clear = 0, True
+    for entry in node.children.values():
+        sub_count, sub_clear = _walk_reclaimable(entry.node, pool)
+        count += sub_count
+        if entry.block_id is None:
+            subtree_clear = subtree_clear and sub_clear
+            continue
+        if sub_clear and pool.refcount(entry.block_id) == 1:
+            count += 1
+        else:
+            subtree_clear = False
+    for entry in node.partials:
+        if pool.refcount(entry.block_id) == 1:
+            count += 1
+        else:
+            subtree_clear = False
+    return count, subtree_clear
+
+
+def _walk_demotable(
+    node: _TrieNode, pool: "BlockKVPool", candidates: list, cold_lru: list
+) -> tuple[bool, list]:
+    """Post-order collect of demotion candidates and cold entries.
+
+    Returns whether everything under ``node`` is cold, plus the
+    unreferenced partial entries hanging below it.
+    """
+    all_cold = True
+    partials_below: list = []
+    for key, entry in node.children.items():
+        sub_cold, sub_partials = _walk_demotable(entry.node, pool, candidates, cold_lru)
+        if entry.block_id is None:
+            cold_lru.append((entry.last_used, node.children, key, entry))
+            all_cold = all_cold and sub_cold
+            partials_below.extend(sub_partials)
+            continue
+        all_cold = False
+        if sub_cold and pool.refcount(entry.block_id) == 1:
+            candidates.append((entry.last_used, entry, sub_partials))
+    for entry in node.partials:
+        if pool.refcount(entry.block_id) == 1:
+            partials_below.append((node.partials, entry))
+        else:
+            all_cold = False
+    return all_cold, partials_below
+
+
 class PrefixIndex:
     """Trie from token-id prefixes to immutable pool blocks.
 
@@ -187,10 +259,6 @@ class PrefixIndex:
         self.root = _TrieNode()
         self._clock = 0
         self.entries = 0
-        #: Span paths of full-block entries dropped by :meth:`evict` since
-        #: the last :meth:`drain_evicted_paths` — the feed a cluster router
-        #: uses to expire its own prefix index in step with the replica.
-        self._evicted_paths: list[tuple[tuple[int, ...], ...]] = []
 
     def __len__(self) -> int:
         return self.entries
@@ -303,39 +371,16 @@ class PrefixIndex:
 
     # -- eviction / tiering --------------------------------------------------------
     def _evictable(self, pool: "BlockKVPool"):
-        """Hot droppables as ``(last_used, container, handle, path, entry)``.
+        """Hot droppables as ``(last_used, container, handle, entry)``.
 
         An entry is droppable when the index holds the block's only
         reference and — for full blocks — everything deeper is *cold*
         (cold descendants hold no pool reference and are cascade-dropped
         with their ancestor, so evicting cold-subtree-first keeps every
-        remaining entry reachable).  ``path`` is the full span chain from
-        the root to the entry (used to mirror the eviction into a
-        router-side index); ``None`` for partial tail entries, which no
-        router ever indexes.
+        remaining entry reachable).
         """
         out: list = []
-
-        def walk(node: _TrieNode, path) -> bool:
-            all_cold = True
-            for key, entry in node.children.items():
-                child_path = path + (key,)
-                sub_cold = walk(entry.node, child_path)
-                if entry.block_id is None:
-                    all_cold = all_cold and sub_cold
-                    continue
-                all_cold = False
-                if sub_cold and pool.refcount(entry.block_id) == 1:
-                    out.append(
-                        (entry.last_used, node.children, key, child_path, entry)
-                    )
-            for entry in node.partials:
-                all_cold = False
-                if pool.refcount(entry.block_id) == 1:
-                    out.append((entry.last_used, node.partials, entry, None, entry))
-            return all_cold
-
-        walk(self.root, ())
+        _walk_evictable(self.root, pool, out)
         return out
 
     def evictable_count(self, pool: "BlockKVPool") -> int:
@@ -349,27 +394,7 @@ class PrefixIndex:
         Cold entries hold no pool reference, so they contribute nothing
         and never block an ancestor.
         """
-
-        def walk(node: _TrieNode) -> tuple[int, bool]:
-            count, subtree_clear = 0, True
-            for entry in node.children.values():
-                sub_count, sub_clear = walk(entry.node)
-                count += sub_count
-                if entry.block_id is None:
-                    subtree_clear = subtree_clear and sub_clear
-                    continue
-                if sub_clear and pool.refcount(entry.block_id) == 1:
-                    count += 1
-                else:
-                    subtree_clear = False
-            for entry in node.partials:
-                if pool.refcount(entry.block_id) == 1:
-                    count += 1
-                else:
-                    subtree_clear = False
-            return count, subtree_clear
-
-        return walk(self.root)[0]
+        return _walk_reclaimable(self.root, pool)[0]
 
     def evict(self, pool: "BlockKVPool", needed: int) -> int:
         """Drop up to ``needed`` LRU entries nobody references; returns count.
@@ -386,12 +411,11 @@ class PrefixIndex:
         """
         candidates = sorted(self._evictable(pool), key=lambda c: c[0])
         freed = 0
-        for _, container, handle, path, entry in candidates[:needed]:
+        for _, container, handle, entry in candidates[:needed]:
             block_id = entry.block_id
             if isinstance(container, dict):
                 del container[handle]
-                self._evicted_paths.append(path)
-                self._drop_cold_subtree(entry.node, pool, path)
+                self._drop_cold_subtree(entry.node, pool)
             else:
                 container.remove(handle)
             self.entries -= 1
@@ -420,34 +444,7 @@ class PrefixIndex:
             return 0
         candidates: list = []
         cold_lru: list = []
-
-        def walk(node: _TrieNode, path):
-            all_cold = True
-            partials_below: list = []
-            for key, entry in node.children.items():
-                child_path = path + (key,)
-                sub_cold, sub_partials = walk(entry.node, child_path)
-                if entry.block_id is None:
-                    cold_lru.append(
-                        (entry.last_used, node.children, key, child_path, entry)
-                    )
-                    all_cold = all_cold and sub_cold
-                    partials_below.extend(sub_partials)
-                    continue
-                all_cold = False
-                if sub_cold and pool.refcount(entry.block_id) == 1:
-                    candidates.append(
-                        (entry.last_used, node.children, key, child_path, entry,
-                         sub_partials)
-                    )
-            for entry in node.partials:
-                if pool.refcount(entry.block_id) == 1:
-                    partials_below.append((node.partials, entry))
-                else:
-                    all_cold = False
-            return all_cold, partials_below
-
-        walk(self.root, ())
+        _walk_demotable(self.root, pool, candidates, cold_lru)
         candidates.sort(key=lambda c: c[0])
         cold_lru.sort(key=lambda c: c[0])
         chosen = candidates[: min(int(needed), pool.tier_blocks)]
@@ -455,26 +452,26 @@ class PrefixIndex:
         lru_iter = iter(cold_lru)
         while chosen and len(pool._tier_k) + len(chosen) > pool.tier_blocks:
             try:
-                _, container, key, path, entry = next(lru_iter)
+                _, container, key, entry = next(lru_iter)
             except StopIteration:
                 chosen = chosen[: max(0, pool.tier_blocks - len(pool._tier_k))]
                 break
             if entry.tier_id is None:
                 continue  # already dropped by an earlier cascade
-            self._drop_cold_entry(container, key, path, pool)
+            self._drop_cold_entry(container, key, pool)
         if not chosen:
             return 0
         freed = 0
-        for _, _, _, _, _, partials in chosen:
+        for _, _, partials in chosen:
             for container, partial in partials:
                 container.remove(partial)
                 self.entries -= 1
                 pool.free([partial.block_id])
                 pool.prefix_evictions += 1
                 freed += 1
-        ids = [entry.block_id for _, _, _, _, entry, _ in chosen]
+        ids = [entry.block_id for _, entry, _ in chosen]
         k_q, v_q = requantize_blocks(pool._k[ids], pool._v[ids], pool.tier_fmt)
-        for i, (_, _, _, _, entry, _) in enumerate(chosen):
+        for i, (_, entry, _) in enumerate(chosen):
             block_id = entry.block_id
             entry.tier_id = pool._tier_put(k_q[i].copy(), v_q[i].copy())
             entry.block_id = None
@@ -501,7 +498,6 @@ class PrefixIndex:
         tokens = tuple(int(t) for t in tokens)
         bs = self.block_size
         node = self.root
-        path: tuple = ()
         pos = 0
         restored_blocks = 0
         refused_blocks = 0
@@ -523,14 +519,13 @@ class PrefixIndex:
                     self._promote(pool, entry)
                 except PoolExhaustedError:
                     refused_blocks += cold_blocks
-                    self._drop_cold_entry(node.children, key, path + (key,), pool)
+                    self._drop_cold_entry(node.children, key, pool)
                     break
                 restored_blocks += 1
             entry.last_used = self._tick()
             pool.share(entry.block_id)
             seq.block_ids.append(entry.block_id)
             node = entry.node
-            path = path + (key,)
             pos += bs
         adopted = pos
         rest = tokens[pos:]
@@ -584,7 +579,7 @@ class PrefixIndex:
         entry.block_id = block_id
         pool.blocks_promoted += 1
 
-    def _drop_cold_entry(self, container: dict, key, path, pool) -> None:
+    def _drop_cold_entry(self, container: dict, key, pool) -> None:
         """Remove a cold entry and its (all-cold) subtree from the index."""
         entry = container[key]
         del container[key]
@@ -593,13 +588,11 @@ class PrefixIndex:
         entry.tier_id = None
         self.entries -= 1
         pool.tier_evictions += 1
-        self._evicted_paths.append(path)
-        self._drop_cold_subtree(entry.node, pool, path)
+        self._drop_cold_subtree(entry.node, pool)
 
-    def _drop_cold_subtree(self, node: _TrieNode, pool, path) -> None:
+    def _drop_cold_subtree(self, node: _TrieNode, pool) -> None:
         """Cascade-drop every (cold) descendant entry under ``node``."""
         for key, entry in list(node.children.items()):
-            child_path = path + (key,)
             if entry.tier_id is not None:
                 pool._tier_discard(entry.tier_id)
             entry.tier_id = None
@@ -607,18 +600,7 @@ class PrefixIndex:
             del node.children[key]
             self.entries -= 1
             pool.tier_evictions += 1
-            self._evicted_paths.append(child_path)
-            self._drop_cold_subtree(entry.node, pool, child_path)
-
-    def drain_evicted_paths(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Full-block span paths evicted since the last drain (then reset).
-
-        Partial tail entries are never reported: a router-side index only
-        holds whole-block spans, so only whole-block evictions need
-        mirroring.
-        """
-        paths, self._evicted_paths = self._evicted_paths, []
-        return paths
+            self._drop_cold_subtree(entry.node, pool)
 
 
 class BlockKVPool:

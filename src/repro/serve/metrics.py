@@ -55,34 +55,6 @@ def _distribution(values) -> dict[str, float]:
     return out
 
 
-def load_imbalance(values) -> float:
-    """Coefficient of variation of a per-replica load vector.
-
-    ``0.0`` is a perfectly even split; ``1.0`` means the standard
-    deviation across replicas equals the mean — one replica doing the work
-    of several while others idle.  An empty or all-zero vector reports
-    ``0.0`` (nothing was served, so nothing was uneven).
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0 or not np.any(arr):
-        return 0.0
-    return float(np.std(arr) / np.mean(arr))
-
-
-def jain_fairness(values) -> float:
-    """Jain's fairness index of a per-replica load vector.
-
-    ``(sum x)^2 / (n * sum x^2)`` — ``1.0`` when every replica carries the
-    same load, ``1/n`` when a single replica carries everything.  The
-    standard summary for routing fairness, reported alongside
-    :func:`load_imbalance` in the cluster benchmark.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0 or not np.any(arr):
-        return 1.0
-    return float(np.sum(arr) ** 2 / (arr.size * np.sum(arr**2)))
-
-
 class MetricsRecorder:
     """Accumulates per-step and per-request serving observations."""
 
@@ -166,42 +138,6 @@ class MetricsRecorder:
         times = np.asarray(token_times, dtype=np.float64)
         if times.size >= 2:
             self._gaps.extend(np.diff(times).tolist())
-
-    # -- merging -------------------------------------------------------------------
-    @classmethod
-    def merged(cls, recorders) -> "MetricsRecorder":
-        """Pool several recorders' *raw samples* into a fresh recorder.
-
-        This is the cluster-aggregation primitive behind
-        :meth:`repro.serve.engine.ServeReport.merge`: every sample list
-        (TTFT sources, inter-token gaps, step times, queue depths, ...) is
-        concatenated, the counters are summed, and ``makespan`` becomes
-        the latest finish across replicas — so ``summary()`` of the merged
-        recorder computes cluster percentiles over the pooled samples.
-        Averaging the per-replica summaries instead would weight a replica
-        that served 3 requests the same as one that served 300, and
-        percentiles do not average at all; the merge unit tests pin the
-        pooled-sample equality.
-        """
-        merged = cls()
-        for recorder in recorders:
-            merged.completed.extend(recorder.completed)
-            merged._queue_depths.extend(recorder._queue_depths)
-            merged._active_counts.extend(recorder._active_counts)
-            merged._step_seconds.extend(recorder._step_seconds)
-            merged._step_tokens.extend(recorder._step_tokens)
-            merged._gaps.extend(recorder._gaps)
-            merged._final_time = max(merged._final_time, recorder._final_time)
-            merged._prefill_tokens += recorder._prefill_tokens
-            merged._prefix_tokens += recorder._prefix_tokens
-            merged._draft_proposed += recorder._draft_proposed
-            merged._draft_accepted += recorder._draft_accepted
-            merged._decode_rows += recorder._decode_rows
-            merged._decode_tokens += recorder._decode_tokens
-            merged._cold_tokens_restored += recorder._cold_tokens_restored
-            merged._cold_tokens_refused += recorder._cold_tokens_refused
-            merged._preemptions.extend(recorder._preemptions)
-        return merged
 
     # -- reduction -----------------------------------------------------------------
     def _by_priority(self) -> dict[str, dict]:

@@ -53,10 +53,9 @@ class Request:
         exhaustion the scheduler preempts from the lowest class upward.
     session_id:
         Optional conversation/session handle shared by related requests
-        (the turns of one chat).  The serving engine ignores it; a cluster
-        router's prefix-affinity policy uses it for **session stickiness**
-        — later turns are routed to the replica already holding the
-        session's KV blocks.
+        (the turns of one chat, the members of one fan-out group).  The
+        serving engine ignores it; it records which requests belong to
+        one session.
     """
 
     request_id: str

@@ -386,7 +386,7 @@ def generate_workload(
         requests, a ``"fanout"`` one to ``sessions × fanout``, anything
         else to ``sessions`` independent requests.  Session arrivals draw
         per-session gaps from spawned generators, so a tens-of-thousands-
-        of-sessions cluster workload scales without entangling any
+        of-sessions workload scales without entangling any
         session's timing with the total count.
     """
     if isinstance(scenario, str):
@@ -490,7 +490,7 @@ def _multiturn_prompts(
     a fresh user message.  Consecutive turns therefore share a strictly
     growing token prefix — the pattern the prefix cache converts into
     adopted blocks.  All turns of one conversation carry the same
-    ``session_id``, the handle a cluster router's stickiness keys on.
+    ``session_id``.
     """
     out: list[tuple[str, np.ndarray, str | None]] = []
     conversation = -1
@@ -564,8 +564,7 @@ def _fanout_prompts(
     """Fan-out groups: ``fanout`` requests share one context + private tails.
 
     Group members share a ``session_id`` (the group handle); unlike chat
-    turns they arrive together, but the shared id still lets a router
-    co-locate a group with its already-dispatched siblings.
+    turns they arrive together.
     """
     out: list[tuple[str, np.ndarray, str | None]] = []
     group = -1

@@ -16,7 +16,7 @@ Two drivers execute the fan-out:
   :mod:`multiprocessing.shared_memory`, driven in lockstep over pipes.
   Process worker bundles come from the persistent
   :data:`~repro.shard.pool.GLOBAL_POOL`, keyed by model fingerprint ×
-  topology, so engines / cluster replicas / bench repeats over the same
+  topology, so engines and bench repeats over the same
   model attach to warm workers instead of re-forking.
 
 See :class:`~repro.shard.executor.ShardedExecutor` for the exactness

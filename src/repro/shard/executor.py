@@ -13,8 +13,8 @@ bit-identical to the unsharded model under every precision policy.
 
 ``process``-driver executors attach to the process-wide
 :data:`~repro.shard.pool.GLOBAL_POOL`: worker bundles are keyed by model
-fingerprint × topology and reused across engines, cluster replicas and
-bench repeats, with refcounted release via ``weakref.finalize``.
+fingerprint × topology and reused across engines and bench repeats,
+with refcounted release via ``weakref.finalize``.
 
 The serving engine charges a sharded step exactly what it measures on the
 host clock: logical shards share this host's cores, and no modeled

@@ -1,9 +1,9 @@
-"""Persistent worker pools shared across executors, engines and replicas.
+"""Persistent worker pools shared across executors and engines.
 
 Forking shard workers and packing weight slices into shared memory is by
 far the most expensive part of bringing a ``process``-driver backend up —
-and it is pure waste when a cluster router builds R replica engines over
-the *same* model, or a benchmark runs repeat cells back to back.  The
+and it is pure waste when several engines serve the *same* model, or a
+benchmark runs repeat cells back to back.  The
 :data:`GLOBAL_POOL` keeps warm worker bundles keyed by **content** (a
 checksum of the model's config, policy and parameter bytes) × **topology**
 (shard count, pinning), so any executor whose model would produce
@@ -20,8 +20,8 @@ each driver carries its own process-exit finalizer, so a warm pool can
 never outlive the interpreter.
 
 Sharing is safe because the lockstep pipe protocol is only ever driven by
-one step at a time: engines sharing a bundle (cluster replicas, sequential
-bench repeats) step single-threaded on one virtual clock.
+one step at a time: engines sharing a bundle (sequential bench repeats)
+step single-threaded, one after another.
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ class TestWave:
 
 
 class TestSessionScaling:
-    """The cluster-scale discipline: per-session gaps from spawned RNGs."""
+    """Session scaling: per-session gaps from spawned RNGs."""
 
     def test_prefix_stable_under_session_count(self):
         """Scaling 5 sessions to 2000 leaves the first 5 bit-identical:
@@ -170,7 +170,7 @@ class TestSessionScaling:
         assert np.all(gaps >= 0)
 
     def test_tens_of_thousands_of_sessions(self):
-        """The scale the cluster benchmark needs: 10k sessions, instantly."""
+        """10k sessions, instantly."""
         process = SessionArrivals(rate=100.0, session_length=3)
         gaps = process.interarrival_times(3 * 10_000, np.random.default_rng(1))
         assert gaps.size == 30_000

@@ -484,6 +484,35 @@ class TestKnobGuards:
         assert "serve-bench:" in str(excinfo.value)
         assert "--ngram" in str(excinfo.value)
 
+    def test_cli_unknown_precision_policy_is_usage_error(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve-bench", "--quick",
+                "--out", str(tmp_path / "x.json"),
+                "--scenarios", "steady",
+                "--policy", "fp7-magic",
+            ])
+        message = str(excinfo.value)
+        assert message.startswith("serve-bench:")
+        assert "fp64-ref" in message  # lists the valid presets
+
+    def test_cli_unknown_policies_preset_is_usage_error(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve-bench", "--quick",
+                "--out", str(tmp_path / "x.json"),
+                "--scenarios", "steady",
+                "--policies", "fp64-ref,fp12-mystery",
+            ])
+        message = str(excinfo.value)
+        assert message.startswith("serve-bench:")
+        assert "fp12-mystery" in message
+        assert "bf16-fp8kv" in message  # lists the valid presets
+
 
 class TestTierFlagValidation:
     """The cold-tier flags fail fast, house-style, across every bench."""
@@ -523,18 +552,6 @@ class TestTierFlagValidation:
             ])
         assert "serve-bench:" in str(excinfo.value)
         assert "--prefix-caching" in str(excinfo.value)
-
-    def test_cluster_bench_cli_one_line_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--tier-ratio", "0.5",
-            ])
-        assert "cluster-bench:" in str(excinfo.value)
-        assert "--max-blocks" in str(excinfo.value)
 
     def test_shard_bench_cli_one_line_usage_error(self, tmp_path):
         from repro.cli import main

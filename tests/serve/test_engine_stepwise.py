@@ -1,10 +1,10 @@
-"""The externally-driven engine interface a cluster router steps.
+"""The externally-driven engine interface.
 
 ``begin`` / ``submit`` / ``step_at`` / ``report`` decompose the serve
-loop so a router can drive R engines on one shared clock; this file pins
-that the decomposition is faithful (stepping by hand reproduces
-``serve()`` exactly) and that ``load_snapshot`` reports what routing
-policies need.
+loop so a caller that owns the clock and the arrival stream can drive the
+engine; this file pins that the decomposition is faithful (stepping by
+hand reproduces ``serve()`` exactly) and that ``submit`` rejects bad
+requests without enqueuing them.
 """
 
 import numpy as np
@@ -81,47 +81,6 @@ class TestStepwiseFaithfulness:
         assert len(report.recorder.completed) == 2
 
 
-class TestLoadSnapshot:
-    KEYS = {
-        "queue_depth", "active", "max_batch_size", "free_slots",
-        "blocks_in_use", "prefill_backlog_tokens", "load",
-    }
-
-    def test_idle_engine(self, model):
-        engine = ServeEngine(model, max_batch_size=4)
-        snapshot = engine.load_snapshot()
-        assert set(snapshot) == self.KEYS
-        assert snapshot["load"] == 0
-        assert snapshot["free_slots"] == 4
-        assert snapshot["blocks_in_use"] == 0
-
-    def test_queued_work_counts_into_load(self, model):
-        engine = ServeEngine(model, max_batch_size=2, timer=_Timer())
-        engine.begin()
-        for request in requests(5):
-            engine.submit(request)
-        snapshot = engine.load_snapshot()
-        assert snapshot["queue_depth"] == 5
-        assert snapshot["active"] == 0
-        assert snapshot["load"] == 5
-
-    def test_active_and_backlog_after_admission(self, model):
-        engine = ServeEngine(
-            model, max_batch_size=2, prefill_budget=2, timer=_Timer()
-        )
-        engine.begin()
-        long_prompt = Request("long", np.arange(1, 13), max_new_tokens=2)
-        engine.submit(long_prompt)
-        engine.step_at(0.0)  # admits and prefills the first 2-token chunk
-        snapshot = engine.load_snapshot()
-        assert snapshot["active"] == 1
-        assert snapshot["free_slots"] == 1
-        assert snapshot["blocks_in_use"] > 0
-        # 12-token prompt, 2 prefilled: 10 positions still to compute.
-        assert snapshot["prefill_backlog_tokens"] == 10
-        assert snapshot["load"] == 1
-
-
 class TestSubmitValidation:
     @pytest.mark.parametrize("bad_id", [-1, "vocab"])
     def test_out_of_vocab_prompt_is_rejected_and_not_enqueued(self, model, bad_id):
@@ -131,7 +90,7 @@ class TestSubmitValidation:
         engine.begin()
         with pytest.raises(ValueError, match="'bad-7'"):
             engine.submit(Request("bad-7", np.array([1, bad_id, 2])))
-        assert engine.load_snapshot()["queue_depth"] == 0
+        assert engine.scheduler.queue_depth == 0
         assert not engine.has_work
 
     @pytest.mark.parametrize("bad_stop", [-1, "vocab"])
@@ -143,7 +102,7 @@ class TestSubmitValidation:
         request = Request("stop-3", np.array([1, 2, 3]), stop_tokens=(5, bad_stop))
         with pytest.raises(ValueError, match=rf"'stop-3'.*\[{bad_stop}\]"):
             engine.submit(request)
-        assert engine.load_snapshot()["queue_depth"] == 0
+        assert engine.scheduler.queue_depth == 0
         assert not engine.has_work
 
     def test_in_vocab_stop_tokens_are_accepted(self, model):
@@ -151,7 +110,7 @@ class TestSubmitValidation:
         engine = ServeEngine(model, timer=_Timer())
         engine.begin()
         engine.submit(Request("ok", np.array([1, 2, 3]), stop_tokens=(0, vocab - 1)))
-        assert engine.load_snapshot()["queue_depth"] == 1
+        assert engine.scheduler.queue_depth == 1
 
     def test_valid_neighbour_still_serves_generate_tokens(self, model):
         """A rejected submit leaves the batch it would have joined intact."""

@@ -17,6 +17,35 @@ def make_pool(**kwargs):
     return BlockKVPool(**defaults)
 
 
+def _append_and_release(pool):
+    seq = pool.sequence()
+    seq.layers[0].append(np.zeros((1, 2, 5, 4)), np.zeros((1, 2, 5, 4)))
+    seq.release()
+    return seq
+
+
+def _reclaim_cached_prefix(pool):
+    """Cache a two-block prefix, then claim the whole bounded pool.
+
+    The claim reclaims both cached blocks: demoted to the cold tier when
+    the pool has one, evicted otherwise.
+    """
+    writer = pool.sequence()
+    for layer in range(pool.num_layers):
+        writer.layers[layer].append(np.ones((1, 2, 8, 4)), np.ones((1, 2, 8, 4)))
+    writer.register_prefix(list(range(8)))
+    writer.release()
+    assert pool.can_provide(4)
+    seq = pool.sequence()
+    seq.layers[0].append(np.zeros((1, 2, 16, 4)), np.zeros((1, 2, 16, 4)))
+    if pool.tier_blocks:
+        assert pool.blocks_demoted == 2 and pool.prefix_evictions == 0
+    else:
+        assert pool.prefix_evictions == 2
+    seq.release()
+    return seq
+
+
 class TestAllocation:
     def test_allocate_free_roundtrip(self):
         pool = make_pool()
@@ -133,17 +162,28 @@ class TestSequenceKV:
         seq.release()
         assert pool.blocks_in_use == 0
 
-    def test_dropped_sequence_frees_without_cyclic_collector(self):
-        """A sequence and its layer views form no reference cycle, so the
-        last reference going away frees the sequence — and a pool no one
-        else holds — at once, not whenever the cyclic collector next runs."""
-        pool = make_pool()
-        seq = pool.sequence()
-        seq.layers[0].append(np.zeros((1, 2, 5, 4)), np.zeros((1, 2, 5, 4)))
-        seq.release()
-        seq_ref, pool_ref = weakref.ref(seq), weakref.ref(pool)
+    @pytest.mark.parametrize(
+        ("pool_kwargs", "work"),
+        [
+            ({}, _append_and_release),
+            (dict(max_blocks=4, prefix_caching=True), _reclaim_cached_prefix),
+            (
+                dict(max_blocks=4, prefix_caching=True, tier_blocks=4),
+                _reclaim_cached_prefix,
+            ),
+        ],
+        ids=["append", "evict", "demote"],
+    )
+    def test_dropped_sequence_frees_without_cyclic_collector(self, pool_kwargs, work):
+        """Neither a sequence and its layer views nor the prefix index's
+        eviction and demotion walks form a reference cycle, so the last
+        reference going away frees the sequence — and a pool no one else
+        holds — at once, not whenever the cyclic collector next runs."""
         gc.disable()
         try:
+            pool = make_pool(**pool_kwargs)
+            seq = work(pool)
+            seq_ref, pool_ref = weakref.ref(seq), weakref.ref(pool)
             del seq, pool
             assert seq_ref() is None and pool_ref() is None
         finally:

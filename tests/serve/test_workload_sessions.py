@@ -1,10 +1,8 @@
 """Workload sizing in sessions: the ``sessions=`` scale parameter.
 
-Satellite coverage for the cluster-scale traffic interface: structured
-scenarios expand ``sessions`` into whole conversations / fan-out groups,
-every related request carries the shared ``session_id`` handle the router
-keys stickiness on, and the parameter is mutually exclusive with
-``num_requests``.
+Structured scenarios expand ``sessions`` into whole conversations /
+fan-out groups, every related request carries the shared ``session_id``
+handle, and the parameter is mutually exclusive with ``num_requests``.
 """
 
 import numpy as np
@@ -97,7 +95,7 @@ class TestSessionIdentity:
 
 class TestClusterScale:
     def test_ten_thousand_sessions_generate_quickly(self):
-        """The tens-of-thousands scale the cluster harness is sized for."""
+        """Tens of thousands of sessions generate in one call."""
         workload = generate_workload(
             "chat-multiturn", sessions=10_000, vocab_size=VOCAB, seed=0
         )

@@ -211,30 +211,7 @@ class TestCLIGuards:
             ])
         assert "--shards" in str(excinfo.value)
 
-    def test_cluster_bench_bad_weights_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--capacity-weights", "2,zero",
-            ])
-        assert "capacity-weights" in str(excinfo.value)
-
-    def test_cluster_bench_weight_count_mismatch_is_usage_error(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "cluster-bench", "--quick",
-                "--out", str(tmp_path / "x.json"),
-                "--replicas", "3",
-                "--capacity-weights", "2,1",
-            ])
-        assert "one weight per replica" in str(excinfo.value)
-
-    @pytest.mark.parametrize("command", ["serve-bench", "cluster-bench"])
+    @pytest.mark.parametrize("command", ["serve-bench"])
     @pytest.mark.parametrize(
         ("spec", "fragment"),
         [

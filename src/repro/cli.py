@@ -16,10 +16,6 @@ models:
   ``--policy`` serves under a named precision policy;
   ``--decode-strategy prompt-lookup`` compares speculative decoding
   against its one-token baseline on the copy-heavy grid).
-* ``shard-bench`` — the tensor-sharded serving benchmark (shard counts
-  x fan-out drivers x scenarios, each cell paired with its N=1 twin and
-  the reference backend, writes ``BENCH_shard.json``; token digests
-  prove sharding never changes a byte).
 * ``precision-sweep`` — the (precision policy x normalizer) grid of
   perplexity + serving cells (writes ``BENCH_precision.json``).
 * ``all``       — everything, in paper order.
@@ -103,25 +99,8 @@ def _cmd_throughput(args) -> None:
     )
 
 
-def _resolve_shard_backend(args, command: str) -> str:
-    """Compose ``--shards``/``--shard-driver`` into a backend spec.
-
-    ``--shards N`` is shorthand for ``--backend sharded:N:<driver>``; the
-    two spellings must not disagree, so combining ``--shards`` with an
-    explicit non-default ``--backend`` is a usage error.
-    """
-    if getattr(args, "shards", None) is None:
-        return args.backend
-    if args.backend != "reference":
-        raise SystemExit(
-            f"{command}: --shards conflicts with --backend {args.backend!r}; "
-            f"use one spelling"
-        )
-    return f"sharded:{args.shards}:{args.shard_driver}"
-
-
 def _add_tier_arguments(p) -> None:
-    """The cold-KV-tier flags, shared by the serving benchmark commands.
+    """The cold-KV-tier and SLO-aware preemption flags of ``serve-bench``.
 
     Arming the tier (``--tier-blocks`` / ``--tier-ratio``) pairs every
     cell with an untiered evict-only twin and adds ``tier_comparison``
@@ -157,7 +136,6 @@ def _add_tier_arguments(p) -> None:
 def _cmd_serve_bench(args) -> None:
     from repro.serve.bench import run_bench
 
-    backend = _resolve_shard_backend(args, "serve-bench")
     try:
         run_bench(
             quick=args.quick,
@@ -179,7 +157,7 @@ def _cmd_serve_bench(args) -> None:
             ngram=args.ngram,
             max_draft=args.max_draft,
             copy_rate=args.copy_rate,
-            backend=backend,
+            backend=args.backend,
             policies=tuple(args.policies.split(",")) if args.policies else None,
             repeats=args.repeats,
             tier_blocks=args.tier_blocks,
@@ -192,48 +170,6 @@ def _cmd_serve_bench(args) -> None:
         # combinations) should read as usage errors, not tracebacks.
         message = exc.args[0] if exc.args else str(exc)
         raise SystemExit(f"serve-bench: {message}")
-
-
-def _cmd_shard_bench(args) -> None:
-    from repro.shard.bench import run_shard_bench
-
-    try:
-        shards = tuple(int(n) for n in args.shards.split(","))
-    except ValueError:
-        raise SystemExit(
-            f"shard-bench: --shards must be a comma-separated list of "
-            f"integers, got {args.shards!r}"
-        )
-    try:
-        run_shard_bench(
-            quick=args.quick,
-            jobs_n=args.jobs,
-            seed=args.seed,
-            out_path=args.out,
-            scenarios=args.scenarios or None,
-            shards=shards,
-            drivers=tuple(args.drivers.split(",")),
-            policies=tuple(args.policies.split(",")),
-            model_name=args.model,
-            max_batch_size=args.max_batch_size,
-            rate_scale=args.rate_scale,
-            repeats=args.repeats,
-            pin_workers=args.pin_workers,
-            prefix_caching=args.prefix_caching,
-            max_blocks=args.max_blocks,
-            tier_blocks=args.tier_blocks,
-            tier_ratio=args.tier_ratio,
-            tier_fmt=args.tier_fmt,
-            slo_aware=args.slo_aware,
-            cache_dir=args.cache_dir,
-            use_cache=args.use_cache,
-            no_cache=args.no_cache,
-        )
-    except (ValueError, KeyError) as exc:
-        # Same contract as serve-bench: bad --shards/--drivers/--policies
-        # presets are one-line usage errors, not worker tracebacks.
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"shard-bench: {message}")
 
 
 def _cmd_precision_sweep(args) -> None:
@@ -385,23 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend", default="reference",
-        help="execution backend: 'compiled' runs the pre-fused executor, "
-             "'sharded:N[:sim|process][:pin]' the tensor-sharded one; "
-             "any non-reference backend pairs "
-             "every cell with its reference twin (identical tokens) and "
-             "adds backend_comparison to the artifact",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shorthand for --backend sharded:N:<driver> (see "
-             "--shard-driver); N must divide 12",
-    )
-    p.add_argument(
-        "--shard-driver", default="process",
-        choices=("sim", "process"),
-        help="fan-out driver used with --shards: 'process' runs real "
-             "worker processes over shared memory (default), 'sim' "
-             "in-process simulated shards",
+        help="execution backend: 'reference' or 'compiled' (the pre-fused "
+             "executor); 'compiled' pairs every cell with its reference "
+             "twin (identical tokens) and adds backend_comparison to the "
+             "artifact",
     )
     p.add_argument(
         "--policies", default=None, metavar="P,...",
@@ -411,82 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--repeats", type=int, default=1, metavar="K",
-        help="run each cell K times and keep the fastest (noise control, "
-             "same as shard-bench; token digests must be identical "
-             "across repeats)",
+        help="run each cell K times and keep the fastest (noise control; "
+             "token digests must be identical across repeats)",
     )
     _add_tier_arguments(p)
     add_engine_arguments(p)
     p.set_defaults(func=_cmd_serve_bench)
-
-    p = sub.add_parser(
-        "shard-bench",
-        help="tensor-sharded serving benchmark (shard counts x drivers x "
-             "scenarios, each cell paired with its N=1 twin; writes "
-             "BENCH_shard.json)",
-    )
-    p.add_argument("--quick", action="store_true", help="12 requests per scenario")
-    p.add_argument("--out", default="BENCH_shard.json", metavar="PATH")
-    p.add_argument(
-        "--scenarios", nargs="*", metavar="NAME",
-        help="subset of scenarios (default: steady bursty chat codegen)",
-    )
-    p.add_argument(
-        "--shards", default="1,2,4", metavar="N,...",
-        help="comma-separated shard counts to sweep (each must divide 12; "
-             "the N=1 twin anchors the scaling ratios)",
-    )
-    p.add_argument(
-        "--pin-workers", action="store_true",
-        help="pin each worker process to a core round-robin via "
-             "sched_setaffinity (no-op with a warning where unsupported)",
-    )
-    p.add_argument(
-        "--drivers", default="process,sim", metavar="D,...",
-        help="comma-separated fan-out drivers to sweep (process, sim); "
-             "with process the artifact also times cold-fork vs "
-             "warm-attach of the worker pool",
-    )
-    p.add_argument(
-        "--policies", default="fp64-ref,bf16-fp8kv", metavar="P,...",
-        help="comma-separated precision policies per cell",
-    )
-    p.add_argument(
-        "--model", default="opt-350m-sim", metavar="NAME",
-        help="substrate model config served by every cell",
-    )
-    p.add_argument(
-        "--max-batch-size", type=int, default=16, metavar="N",
-        help="decode slots of the serving engine (large enough steps "
-             "that fan-out cost amortizes)",
-    )
-    p.add_argument(
-        "--rate-scale", type=float, default=2.0, metavar="S",
-        help="multiply every scenario's arrival rate",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=3, metavar="K",
-        help="run each cell K times and keep the fastest (noise control; "
-             "token digests must be identical across repeats)",
-    )
-    p.add_argument(
-        "--use-cache", action="store_true",
-        help="replay cells from the result cache (off by default: cached "
-             "timings defeat a benchmark)",
-    )
-    p.add_argument(
-        "--prefix-caching", action="store_true",
-        help="share prompt-prefix KV blocks across requests in every cell "
-             "(required by the cold-tier flags)",
-    )
-    p.add_argument(
-        "--max-blocks", type=int, default=None, metavar="N",
-        help="bound every cell's KV pool at N blocks (required by "
-             "--tier-ratio)",
-    )
-    _add_tier_arguments(p)
-    add_engine_arguments(p)
-    p.set_defaults(func=_cmd_shard_bench)
 
     p = sub.add_parser(
         "precision-sweep",
@@ -528,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend", default="reference",
         help="execution backend of the serve-bench section's engine "
-             "('reference', 'compiled' or 'sharded:N[:sim|process]')",
+             "('reference' or 'compiled')",
     )
     add_engine_arguments(p)
     p.set_defaults(func=_cmd_all)

@@ -4,7 +4,8 @@ Each module exposes ``run(...) -> (rows, text)`` where ``rows`` is the raw
 data (a list of dict rows or an equivalent structure) and ``text`` is the
 formatted table printed by the runner.  :mod:`repro.experiments.runner`
 regenerates every experiment in sequence and is what ``EXPERIMENTS.md`` was
-produced from.
+produced from; it is not imported here, so ``python -m
+repro.experiments.runner`` runs it once, as ``__main__``.
 """
 
 from repro.experiments import (
@@ -13,7 +14,6 @@ from repro.experiments import (
     fig4,
     fig5,
     fig6,
-    runner,
     table1,
     table2,
     table3,
@@ -26,7 +26,6 @@ __all__ = [
     "fig4",
     "fig5",
     "fig6",
-    "runner",
     "table1",
     "table2",
     "table3",

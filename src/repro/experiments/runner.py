@@ -286,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend", default="reference",
         help="execution backend of the serve-bench section's engine "
-             "('reference', 'compiled' or 'sharded:N[:sim|process][:pin]')",
+             "('reference' or 'compiled')",
     )
     add_engine_arguments(parser)
     args = parser.parse_args(argv)

@@ -53,10 +53,6 @@ class MultiHeadSelfAttention(Module):
         self.k_proj = Linear(embed_dim, embed_dim, rng=rng)
         self.v_proj = Linear(embed_dim, embed_dim, rng=rng)
         self.out_proj = Linear(embed_dim, embed_dim, rng=rng)
-        # Row-shardable reduction boundary: the out-projection's contraction
-        # runs through the fixed-block summation tree so a tensor-parallel
-        # row split of its weight reproduces the same bytes.
-        self.out_proj.block_k = True
         self.attn_dropout = Dropout(dropout, rng=rng)
         self._cache: dict[str, np.ndarray] | None = None
 

@@ -32,9 +32,6 @@ class FeedForward(Module):
         rng = rng or np.random.default_rng()
         self.fc1 = Linear(embed_dim, ffn_dim, rng=rng)
         self.fc2 = Linear(ffn_dim, embed_dim, rng=rng)
-        # Row-shardable reduction boundary (see MultiHeadSelfAttention's
-        # out_proj): fc2's contraction uses the fixed-block summation tree.
-        self.fc2.block_k = True
         self.dropout = Dropout(dropout, rng=rng)
         self._cache_pre_act: np.ndarray | None = None
 

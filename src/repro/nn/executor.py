@@ -43,10 +43,9 @@ precision policy.  This module makes that seam explicit:
     norm → q/k/v → head split → attention core → merge → out-projection →
     residual → norm → FFN → residual.  The cached and ragged forwards differ
     only in the attention core they pass in.  Each layer's linears come from
-    three *linear providers* on its ``_LayerPlan`` — ``qkv``, ``out`` and
-    ``ffn`` — which are local closures here; the sharded backend
-    (:mod:`repro.shard.executor`) rebinds them to shard fan-outs and runs
-    the same body.
+    three local closures on its ``_LayerPlan`` — ``qkv``, ``out`` and
+    ``ffn`` — each a chain of :func:`~repro.nn.functional.det_matmul`
+    calls on the layer's weights.
 
 Bit-exactness notes
 -------------------
@@ -175,23 +174,21 @@ class ReferenceExecutor:
 # ---------------------------------------------------------------------------
 
 
-def _linear_closure(ops, weight, bias, block=False):
+def _linear_closure(ops, weight, bias):
     """Bind one Linear's ``forward_det`` into a closure with pre-resolved
-    operands, replicating ``PrecisionOps.linear_det`` byte-for-byte.
-    ``block`` engages the fixed-block contraction of the row-shardable
-    linears (out-projection, fc2) — see ``det_matmul(..., block=True)``."""
+    operands, replicating ``PrecisionOps.linear_det`` byte-for-byte."""
     w = weight.data
     b = None if bias is None else bias.data
     if ops.passthrough:
         if b is None:
-            return lambda x: det_matmul(x, w, block=block)
-        return lambda x: det_matmul(x, w, block=block) + b
+            return lambda x: det_matmul(x, w)
+        return lambda x: det_matmul(x, w) + b
     wq = ops.weight(w)
     bq = None if b is None else ops.weight(b)
     accum, act = ops.accum, ops.act
     if bq is None:
-        return lambda x: act(accum(det_matmul(x, wq, block=block)))
-    return lambda x: act(accum(det_matmul(x, wq, block=block)) + bq)
+        return lambda x: act(accum(det_matmul(x, wq)))
+    return lambda x: act(accum(det_matmul(x, wq)) + bq)
 
 
 def _norm_closure(norm, ops):
@@ -208,10 +205,10 @@ def _norm_closure(norm, ops):
         ev = norm.eval_normalizer
         if ev is not None:
             return act(ev(x))
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = np.mean(centered * centered, axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + eps)
-        return act(norm.gamma.data * ((x - mean) * inv_std) + norm.beta.data)
+        return act(norm.gamma.data * (centered * inv_std) + norm.beta.data)
 
     return run
 
@@ -219,9 +216,8 @@ def _norm_closure(norm, ops):
 class _LayerPlan:
     """Flat, attribute-lookup-free op sequence for one transformer block.
 
-    The linear providers are ``qkv(h) -> (q, k, v)`` (before the head
-    split), ``out(merged)`` and ``ffn(h2)`` (fc1 → ReLU → fc2).  They are
-    plain attributes so a backend can rebind them per layer.
+    The linears are ``qkv(h) -> (q, k, v)`` (before the head split),
+    ``out(merged)`` and ``ffn(h2)`` (fc1 → ReLU → fc2).
     """
 
     __slots__ = ("attn_norm", "ffn_norm", "qkv", "out", "ffn")
@@ -235,11 +231,9 @@ class _LayerPlan:
         k = _linear_closure(ops, attn.k_proj.weight, attn.k_proj.bias)
         v = _linear_closure(ops, attn.v_proj.weight, attn.v_proj.bias)
         fc1 = _linear_closure(ops, ffn.fc1.weight, ffn.fc1.bias)
-        fc2 = _linear_closure(ops, ffn.fc2.weight, ffn.fc2.bias, block=True)
+        fc2 = _linear_closure(ops, ffn.fc2.weight, ffn.fc2.bias)
         self.qkv = lambda h: (q(h), k(h), v(h))
-        self.out = _linear_closure(
-            ops, attn.out_proj.weight, attn.out_proj.bias, block=True
-        )
+        self.out = _linear_closure(ops, attn.out_proj.weight, attn.out_proj.bias)
         self.ffn = lambda h2: fc2(np.maximum(fc1(h2), 0.0))
 
 
@@ -595,33 +589,20 @@ EXECUTORS = {
 }
 
 
-#: Spec-string shorthands appended to "known backends" error messages.
-_SHARDED_SPEC = "sharded:N[:sim|process][:pin]"
-
-
 def _known_backends() -> str:
-    return ", ".join(sorted(EXECUTORS)) + f", {_SHARDED_SPEC}"
+    return ", ".join(sorted(EXECUTORS))
 
 
 def resolve_executor(spec, model):
     """Turn a backend spec into a bound executor.
 
-    ``None`` means the reference backend; ``"sharded:N[:driver][:pin]"``
-    builds a tensor-sharded executor (see :mod:`repro.shard`); any other
-    string is looked up in
+    ``None`` means the reference backend; a string is looked up in
     :data:`EXECUTORS`; anything else is assumed to already be an executor
     instance and returned as-is.
     """
     if spec is None:
         spec = ReferenceExecutor.name
     if isinstance(spec, str):
-        if spec.startswith("sharded"):
-            # Imported lazily: repro.shard imports this module's compiled
-            # executor, so a top-level import would cycle.
-            from repro.shard import ShardedExecutor, parse_shard_spec
-
-            num_shards, driver, pin = parse_shard_spec(spec)
-            return ShardedExecutor(model, num_shards, driver=driver, pin=pin)
         try:
             cls = EXECUTORS[spec]
         except KeyError:
@@ -642,11 +623,6 @@ def validate_backend(spec) -> None:
     if spec is None or not isinstance(spec, str):
         return
     if spec in EXECUTORS:
-        return
-    if spec.startswith("sharded"):
-        from repro.shard import parse_shard_spec
-
-        parse_shard_spec(spec)  # raises ValueError with specifics
         return
     raise ValueError(
         f"unknown --backend {spec!r} (known: {_known_backends()})"

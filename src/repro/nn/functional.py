@@ -255,28 +255,7 @@ def ragged_attention_mask(
     return np.where(allowed, 0.0, -np.inf)
 
 
-#: Number of fixed contraction blocks ("atoms") of the blocked ``det_matmul``
-#: contract — the LCM of every supported shard count (1, 2, 3, 4, 6, 12), so
-#: any such row-parallel split lands exactly on atom boundaries.
-DET_ATOMS = 12
-
-
-def det_block_bounds(k_total: int, blocks: int = DET_ATOMS) -> tuple[int, ...]:
-    """The fixed atom boundaries of a length-``k_total`` contraction.
-
-    Atom ``t`` covers the contiguous K-range ``[bounds[t], bounds[t + 1])``
-    (possibly empty when ``k_total < blocks``).  Bounds are ``floor(t * K /
-    blocks)``, which makes every shard split at ``floor(i * K / N)`` with
-    ``N`` dividing ``blocks`` land exactly on an atom boundary:
-    ``i * K / N == (i * blocks / N) * K / blocks`` as exact rationals, so
-    their floors agree.
-    """
-    if k_total < 0:
-        raise ValueError(f"k_total must be >= 0, got {k_total}")
-    return tuple((t * k_total) // blocks for t in range(blocks + 1))
-
-
-def det_matmul(a: np.ndarray, b: np.ndarray, block: bool = False) -> np.ndarray:
+def det_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a shape-independent accumulation order.
 
     BLAS matmuls pick different accumulation orders for different operand
@@ -286,101 +265,10 @@ def det_matmul(a: np.ndarray, b: np.ndarray, block: bool = False) -> np.ndarray:
     product through :func:`numpy.einsum` with ``optimize=False``: each
     output element is then an independent dot product whose summation
     order depends only on the contraction length.  Slower than BLAS, but
-    the cached path does O(1) work per token instead of O(seq).
-
-    ``block=True`` engages the **fixed-block accumulation contract**: the
-    contraction axis is cut into :data:`DET_ATOMS` contiguous atoms at
-    :func:`det_block_bounds`, each atom's partial product is computed by
-    the plain einsum kernel, and the partials are summed strictly
-    left-to-right starting *from the first non-empty partial* (never from
-    a zeros buffer — ``0.0 + (-0.0)`` is ``+0.0``, so seeding with zeros
-    could flip a sign bit).  The result is a fixed float summation tree
-    that a row-parallel shard split reproduces exactly: shard ``i`` of
-    ``N`` (``N`` dividing :data:`DET_ATOMS`) computes the partials of its
-    own atoms (:func:`det_matmul_partials`) and
-    :func:`det_all_reduce` replays the identical tree, byte for byte, for
-    every ``N``.  The row-shardable linears (attention out-projection,
-    FFN fc2) use this mode; everything else keeps the plain kernel.
+    the cached path does O(1) work per token instead of O(seq).  Every
+    deterministic linear (q/k/v, out-projection, fc1, fc2, tied logits)
+    and both attention matmuls run this one kernel.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if not block:
-        return np.einsum("...ij,...jk->...ik", a, b, optimize=False)
-    out = None
-    for part in det_matmul_partials(a, b):
-        out = part if out is None else np.add(out, part, out=out)
-    if out is None:  # K == 0: fall back to the plain (empty-sum) kernel
-        return np.einsum("...ij,...jk->...ik", a, b, optimize=False)
-    return out
-
-
-def det_matmul_partials(
-    a: np.ndarray, b: np.ndarray, k_start: int = 0, k_total: int | None = None
-) -> list[np.ndarray]:
-    """Per-atom partial products of the blocked ``det_matmul`` contract.
-
-    ``a``/``b`` hold the contraction slice ``[k_start, k_start + local_k)``
-    of a global length-``k_total`` contraction (the unsharded call passes
-    the whole operands and the defaults).  Returns one freshly allocated
-    partial per non-empty atom inside the slice, in global atom order;
-    summing every shard's partials left-to-right (:func:`det_all_reduce`)
-    is bit-identical to ``det_matmul(a_full, b_full, block=True)``.
-
-    The slice must cover whole atoms — guaranteed for shard boundaries
-    ``floor(i * K / N)`` with ``N`` dividing :data:`DET_ATOMS`, and
-    enforced here so a misaligned split fails loudly instead of silently
-    changing the summation tree.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    local_k = a.shape[-1]
-    if b.shape[-2] != local_k:
-        raise ValueError(
-            f"contraction mismatch: a has K={local_k}, b has K={b.shape[-2]}"
-        )
-    if k_total is None:
-        k_total = k_start + local_k
-    k_end = k_start + local_k
-    bounds = det_block_bounds(k_total)
-    if k_start not in bounds or k_end not in bounds:
-        raise ValueError(
-            f"slice [{k_start}, {k_end}) of K={k_total} is not atom-aligned "
-            f"(atom bounds: {bounds})"
-        )
-    parts: list[np.ndarray] = []
-    for t in range(DET_ATOMS):
-        lo, hi = bounds[t], bounds[t + 1]
-        if hi <= lo or hi <= k_start or lo >= k_end:
-            continue
-        parts.append(
-            np.einsum(
-                "...ij,...jk->...ik",
-                a[..., lo - k_start : hi - k_start],
-                b[..., lo - k_start : hi - k_start, :],
-                optimize=False,
-            )
-        )
-    return parts
-
-
-def det_all_reduce(shard_partials) -> np.ndarray:
-    """Sum per-shard atom partials in fixed global atom order.
-
-    ``shard_partials`` is a sequence over shards (in shard order) of the
-    per-atom partial lists :func:`det_matmul_partials` produced; shard
-    order concatenation *is* global atom order because each shard owns a
-    contiguous atom range.  The sum runs strictly left-to-right starting
-    from a copy of the first partial — the exact summation tree of
-    ``det_matmul(..., block=True)``, so the reduced result is byte-equal
-    to the unsharded blocked kernel for every shard count.
-    """
-    out = None
-    for parts in shard_partials:
-        for part in parts:
-            if out is None:
-                out = np.array(part, dtype=np.float64, copy=True)
-            else:
-                out = np.add(out, part, out=out)
-    if out is None:
-        raise ValueError("det_all_reduce needs at least one partial")
-    return out
+    return np.einsum("...ij,...jk->...ik", a, b, optimize=False)

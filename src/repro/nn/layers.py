@@ -31,12 +31,6 @@ class Linear(Module):
     #: Policy-aware op layer; replaced by the owning model's ``set_policy``.
     ops = PASSTHROUGH_OPS
 
-    #: When True, the deterministic forward contracts K through the
-    #: fixed-block summation tree (``det_matmul(..., block=True)``).  Set on
-    #: the row-shardable linears (attention out-projection, FFN fc2) so a
-    #: row-parallel shard split reproduces the unsharded bytes exactly.
-    block_k = False
-
     def __init__(
         self,
         in_features: int,
@@ -100,10 +94,7 @@ class Linear(Module):
                 f"expected last dim {self.in_features}, got {x.shape[-1]}"
             )
         return self.ops.linear_det(
-            x,
-            self.weight.data,
-            None if self.bias is None else self.bias.data,
-            block=self.block_k,
+            x, self.weight.data, None if self.bias is None else self.bias.data
         )
 
 
@@ -174,11 +165,13 @@ class LayerNorm(Module):
             )
         if self.eval_normalizer is not None and not self.training:
             return self.ops.act(self.eval_normalizer(x))
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        # Byte-equal to ``x.var``, which recomputes the mean and the centred
+        # rows internally.
+        var = np.mean(centered * centered, axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std, x - mean)
+        x_hat = centered * inv_std
+        self._cache = (x_hat, inv_std, centered)
         out = self.gamma.data * x_hat + self.beta.data
         if not self.training:
             out = self.ops.act(out)

@@ -93,10 +93,8 @@ class PassthroughOps:
         return out if b is None else out + b
 
     @staticmethod
-    def linear_det(
-        x: np.ndarray, w: np.ndarray, b: np.ndarray | None, block: bool = False
-    ) -> np.ndarray:
-        out = _fn().det_matmul(x, w, block=block)
+    def linear_det(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+        out = _fn().det_matmul(x, w)
         return out if b is None else out + b
 
     @staticmethod
@@ -190,9 +188,9 @@ class QuantizedOps:
         return self.act(out)
 
     def linear_det(
-        self, x: np.ndarray, w: np.ndarray, b: np.ndarray | None, block: bool = False
+        self, x: np.ndarray, w: np.ndarray, b: np.ndarray | None
     ) -> np.ndarray:
-        out = self.accum(_fn().det_matmul(x, self.weight(w), block=block))
+        out = self.accum(_fn().det_matmul(x, self.weight(w)))
         if b is not None:
             out = out + self.weight(b)
         return self.act(out)

@@ -240,12 +240,7 @@ def run_scenario(
         tier_fmt=tier_fmt,
         slo_aware=slo_aware,
     )
-    try:
-        report = engine.serve(workload)
-        stats_fn = getattr(engine.executor, "runtime_stats", None)
-        executor_stats = stats_fn() if callable(stats_fn) else None
-    finally:
-        engine.close()
+    report = engine.serve(workload)
 
     rows = {
         "scenario": scenario,
@@ -271,7 +266,6 @@ def run_scenario(
         "token_digest": _token_digest(report.completed),
         "metrics": report.metrics,
         "pool": report.pool_stats,
-        "executor_stats": executor_stats,
     }
     metrics = report.metrics
     text = (

@@ -241,15 +241,7 @@ class ServeEngine:
         :meth:`serve` calls this itself and then drives the engine
         through :meth:`submit` / :meth:`step_at`; an external driver that
         owns the clock and the arrival stream does the same.
-
-        Backends exposing ``prepare()`` are warmed up here — a sharded
-        executor forks its worker processes and packs weight slices into
-        shared memory, and that one-time setup belongs to session start,
-        not to whichever serving step happens to run first.
         """
-        prepare = getattr(self.executor, "prepare", None)
-        if prepare is not None:
-            prepare()
         self._recorder = MetricsRecorder()
 
     @property
@@ -369,13 +361,6 @@ class ServeEngine:
             pool_stats=self.pool.stats().as_dict(),
             recorder=recorder,
         )
-
-    def close(self) -> None:
-        """Release executor-held resources (shard worker processes, shared
-        memory).  Safe to call on any backend; a no-op for in-process ones."""
-        close = getattr(self.executor, "close", None)
-        if close is not None:
-            close()
 
     # -- the serve loop ------------------------------------------------------------
     def serve(self, requests: list[Request]) -> ServeReport:

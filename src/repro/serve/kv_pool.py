@@ -313,9 +313,11 @@ class PrefixIndex:
         """Insert the blocks covering ``tokens``; returns newly cached count.
 
         ``block_ids`` must cover at least ``len(tokens)`` positions.  Spans
-        already indexed are left untouched (the registering request adopted
-        them in the first place); each newly cached block receives one
-        index-owned reference via :meth:`BlockKVPool.share`.
+        already indexed keep their block; when the registrant computed its
+        own copy of such a span, ``block_ids`` (the registrant's list) is
+        pointed at the indexed block and the copy is freed.  Each newly
+        cached block receives one index-owned reference via
+        :meth:`BlockKVPool.share`.
         """
         tokens = tuple(int(t) for t in tokens)
         bs = self.block_size
@@ -347,6 +349,16 @@ class PrefixIndex:
                 added += 1
             else:
                 entry.last_used = self._tick()
+                own = int(block_ids[pos // bs])
+                if own != entry.block_id:
+                    # Dedupe: the registrant recomputed a span another
+                    # request published while both ran (bit-identical by
+                    # the exactness invariant).  It switches to the
+                    # indexed block and returns its copy; kept, the
+                    # copy would pin the indexed ancestors of its own
+                    # deeper entries, unevictable while it runs.
+                    block_ids[pos // bs] = pool.share(entry.block_id, adopted=False)
+                    pool.free([own])
             node = entry.node
             pos += bs
         rest = tokens[pos:]

@@ -150,3 +150,28 @@ class TestRunnerSpecGuards:
             if job.params["scenario"] == "summarize-copy"
         }
         assert strategies == {"one-token", "prompt-lookup"}
+
+
+def test_runner_module_runs_once_as_main():
+    """``python -m repro.experiments.runner`` must not find the runner
+    already imported by its package: runpy would warn and then execute
+    the file a second time as ``__main__``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.experiments.runner", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout

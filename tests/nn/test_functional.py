@@ -1,5 +1,7 @@
 """Tests for the stateless NN functions and their gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.nn.functional import (
     causal_mask,
     cross_entropy,
+    det_matmul,
     gelu,
     gelu_backward,
     log_softmax,
@@ -34,6 +37,21 @@ def numeric_gradient(f, x, eps=1e-6):
         flat[i] = original
         grad_flat[i] = (plus - minus) / (2 * eps)
     return grad
+
+
+class TestDetMatmulGolden:
+    """``det_matmul`` serves every deterministic linear and both attention
+    matmuls, so its summation order is pinned by a byte digest."""
+
+    #: sha256 of ``det_matmul`` on the seeded (5 x 29) @ (29 x 7) case.
+    GOLDEN_PLAIN = "b8774d03e917c3c437343707a966301a6e5eb7969f1de807058879dfb3cd6316"
+
+    def test_plain_kernel_digest(self):
+        rng = np.random.default_rng(2025)
+        a = rng.standard_normal((5, 29))
+        b = rng.standard_normal((29, 7))
+        out = np.ascontiguousarray(det_matmul(a, b))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.GOLDEN_PLAIN
 
 
 class TestSoftmax:

@@ -1,5 +1,7 @@
 """KV-cache regression tests: incremental decoding must be bit-exact."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,22 @@ from repro.nn.model import OPTLanguageModel
 @pytest.fixture
 def model(rng):
     return OPTLanguageModel(get_config("opt-test"), rng=rng)
+
+
+@lru_cache(maxsize=None)
+def preset_model(preset):
+    return OPTLanguageModel(get_config(preset), rng=np.random.default_rng(9))
+
+
+def preset_weight(preset, name):
+    """A linear's weight operand, in the layout the model passes it."""
+    model = preset_model(preset)
+    if name == "logits":
+        return model.token_embedding.weight.data.T
+    block = model.blocks[-1]
+    if name in ("fc1", "fc2"):
+        return getattr(block.ffn, name).weight.data
+    return getattr(block.attention, name).weight.data
 
 
 class TestDeterministicMatmul:
@@ -34,6 +52,24 @@ class TestDeterministicMatmul:
         b = rng.normal(size=(2, 3, 5, 6))
         out = det_matmul(a, b)
         assert out.shape == (2, 3, 4, 6)
+
+    @pytest.mark.parametrize("name", ["q_proj", "out_proj", "fc1", "fc2", "logits"])
+    @pytest.mark.parametrize("preset", ["opt-test", "opt-125m-sim", "opt-350m-sim"])
+    def test_rows_do_not_see_the_batch_at_model_shapes(self, preset, name):
+        """Every linear, fc2's ``4 * embed_dim`` contraction and the
+        transposed logit table included: a row's bytes do not depend on
+        which rows share the call, their order, or the leading axes."""
+        w = preset_weight(preset, name)
+        rows = 12
+        x = np.random.default_rng(0).normal(size=(rows, w.shape[0]))
+        full = det_matmul(x, w)
+        for i in range(rows):
+            np.testing.assert_array_equal(det_matmul(x[i : i + 1], w), full[i : i + 1])
+        np.testing.assert_array_equal(det_matmul(x[3:9], w), full[3:9])
+        np.testing.assert_array_equal(det_matmul(x[::-1], w), full[::-1])
+        for shape in ((3, 4), (2, 3, 2)):
+            stacked = det_matmul(x.reshape(*shape, w.shape[0]), w)
+            np.testing.assert_array_equal(stacked.reshape(rows, -1), full)
 
 
 class TestCausalMaskOffset:

@@ -158,6 +158,44 @@ class TestLayerNorm:
         assert not np.array_equal(swapped, exact_out)
         np.testing.assert_allclose(swapped, exact_out, atol=1e-3)
 
+    @staticmethod
+    def var_form(layer, x):
+        """The exact LayerNorm as ``x.mean`` then ``x.var``."""
+        mean = x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + layer.eps)
+        x_hat = (x - mean) * inv_std
+        return layer.gamma.data * x_hat + layer.beta.data, (x_hat, inv_std, x - mean)
+
+    @staticmethod
+    def seeded_inputs(d, count=60):
+        rng = np.random.default_rng(d)
+        for _ in range(count):
+            rows, positions = int(rng.integers(1, 17)), int(rng.integers(1, 40))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            offset = rng.normal(0.0, 10.0 * scale)
+            yield rng.normal(offset, scale, size=(rows, positions, d))
+
+    @pytest.mark.parametrize("d", [64, 100, 128, 256])
+    def test_centred_once_is_byte_equal_to_var(self, d):
+        """Centring once and squaring the centred rows reproduces the
+        ``x.var`` formula byte for byte: in the module's output and its
+        backward cache, and in the compiled executor's norm closure."""
+        from repro.nn.executor import _norm_closure
+        from repro.precision.ops import PASSTHROUGH_OPS
+
+        layer = LayerNorm(d)
+        rng = np.random.default_rng(d + 1)
+        layer.gamma.data = rng.uniform(0.5, 1.5, d)
+        layer.beta.data = rng.normal(size=d)
+        layer.training = False
+        closure = _norm_closure(layer, PASSTHROUGH_OPS)
+        for x in self.seeded_inputs(d):
+            expected, cache = self.var_form(layer, x)
+            assert layer(x).tobytes() == expected.tobytes()
+            for got, want in zip(layer._cache, cache):
+                assert got.tobytes() == want.tobytes()
+            assert closure(x).tobytes() == expected.tobytes()
+
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             LayerNorm(0)

@@ -25,7 +25,6 @@ import pytest
 
 import repro.nn.executor  # noqa: F401 - loads every module that binds a caster
 import repro.serve.kv_pool  # noqa: F401
-import repro.shard.worker  # noqa: F401
 from repro.fpformats.quantize import quantize
 from repro.fpformats.spec import FLOAT64, FORMATS, get_format
 from repro.nn.config import get_config
@@ -55,7 +54,6 @@ def test_every_cast_site_is_found():
         "repro.nn.executor",
         "repro.nn.kv_cache",
         "repro.serve.kv_pool",
-        "repro.shard.worker",
     } <= names
 
 

@@ -553,18 +553,16 @@ class TestTierFlagValidation:
         assert "serve-bench:" in str(excinfo.value)
         assert "--prefix-caching" in str(excinfo.value)
 
-    def test_shard_bench_cli_one_line_usage_error(self, tmp_path):
+    def test_serve_bench_bad_repeats_is_usage_error(self, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "shard-bench", "--quick",
+                "serve-bench", "--quick",
                 "--out", str(tmp_path / "x.json"),
-                "--prefix-caching", "--tier-blocks", "8",
-                "--tier-fmt", "int7",
+                "--repeats", "0",
             ])
-        assert "shard-bench:" in str(excinfo.value)
-        assert "--tier-fmt" in str(excinfo.value)
+        assert "--repeats" in str(excinfo.value)
 
     def test_unknown_dag_scenario_is_a_usage_error(self, tmp_path):
         from repro.cli import main
@@ -577,6 +575,43 @@ class TestTierFlagValidation:
             ])
         assert "serve-bench:" in str(excinfo.value)
         assert "agent-forest" in str(excinfo.value)
+
+
+class TestBackendValidation:
+    """Only ``reference`` and ``compiled`` resolve; any other spec is a
+    one-line usage error before a cell runs."""
+
+    @pytest.mark.parametrize("spec", ["sharded:2", "pipeline:2"])
+    def test_retired_backend_is_one_line_usage_error(self, tmp_path, spec):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve-bench", "--quick",
+                "--out", str(tmp_path / "x.json"),
+                "--backend", spec,
+            ])
+        message = str(excinfo.value)
+        assert message.startswith("serve-bench:")
+        assert "\n" not in message
+        assert "known: compiled, reference)" in message
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("spec", ["sharded:2", "pipeline:2", "nonsense"])
+    def test_validate_backend_rejects_unknown_specs(self, spec):
+        from repro.nn.executor import validate_backend
+
+        validate_backend("reference")
+        validate_backend("compiled")
+        with pytest.raises(ValueError, match="unknown --backend"):
+            validate_backend(spec)
+
+    def test_resolve_executor_names_only_the_two_backends(self, model):
+        from repro.nn.executor import resolve_executor
+
+        with pytest.raises(KeyError) as excinfo:
+            resolve_executor("sharded:2", model)
+        assert "(known: compiled, reference)" in str(excinfo.value)
 
 
 class TestTierPairing:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nn.generation import generate
-from repro.serve import Request, ServeEngine
+from repro.serve import Request, ServeEngine, generate_workload
 
 
 class _Timer:
@@ -133,3 +133,28 @@ class TestSubmitValidation:
             rng=np.random.default_rng(good.seed),
         )
         np.testing.assert_array_equal(report.by_id("good").tokens, expected)
+
+
+class TestMeasuredClock:
+    def test_engine_ignores_an_overlap_credit_method(self, model):
+        """An executor offering overlap credit is still charged in full:
+        with a 1 ms timer every step of a compiled engine reads 1 ms."""
+        drained = []
+
+        def consume_overlap_credit():
+            drained.append(True)
+            return 0.0005
+
+        engine = ServeEngine(
+            model, backend="compiled", max_batch_size=4, timer=_Timer()
+        )
+        engine.executor.consume_overlap_credit = consume_overlap_credit
+        workload = generate_workload(
+            "steady", num_requests=6, vocab_size=model.config.vocab_size, seed=0
+        )
+        report = engine.serve(workload)
+        assert len(report.completed) == len(workload)
+        steps = report.recorder._step_seconds
+        assert steps
+        assert steps == pytest.approx([1e-3] * len(steps), abs=1e-12)
+        assert not drained

@@ -33,13 +33,7 @@ from repro.serve import Request, ServeEngine, generate_workload
 POLICIES = ("fp64-ref", "fp32", "fp16", "bf16", "bf16-fp8kv")
 CLASSIC_FOUR = ("steady", "bursty", "chat", "codegen")
 #: Backends that run the compiled executor's block body.
-FAST_BACKENDS = ("compiled", "sharded:2:sim", "sharded:4:sim")
-
-
-def close_executor(executor):
-    close = getattr(executor, "close", None)
-    if close is not None:
-        close()
+FAST_BACKENDS = ("compiled",)
 
 
 def make_model(policy=None, seed=11):
@@ -206,25 +200,22 @@ class TestGeneratePath:
         attention core) on every backend built on the compiled block."""
         model = make_model(policy)
         executor = resolve_executor(backend, model)
-        try:
-            prompt = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-            np.testing.assert_array_equal(
-                generate(
-                    model, prompt, max_new_tokens=10, temperature=0.0,
-                    backend=executor,
-                ),
-                generate(model, prompt, max_new_tokens=10, temperature=0.0),
-            )
-            prompts = [np.array([1, 2, 3, 1, 2, 3]), np.array([4, 5, 6, 7, 4, 5])]
-            ref = generate_batch(model, prompts, max_new_tokens=8, temperature=0.0)
-            got = generate_batch(
-                model, prompts, max_new_tokens=8, temperature=0.0,
+        prompt = np.array([3, 1, 4, 1, 5, 9, 2, 6])
+        np.testing.assert_array_equal(
+            generate(
+                model, prompt, max_new_tokens=10, temperature=0.0,
                 backend=executor,
-            )
-            for row, expected in zip(got, ref):
-                np.testing.assert_array_equal(row, expected)
-        finally:
-            close_executor(executor)
+            ),
+            generate(model, prompt, max_new_tokens=10, temperature=0.0),
+        )
+        prompts = [np.array([1, 2, 3, 1, 2, 3]), np.array([4, 5, 6, 7, 4, 5])]
+        ref = generate_batch(model, prompts, max_new_tokens=8, temperature=0.0)
+        got = generate_batch(
+            model, prompts, max_new_tokens=8, temperature=0.0,
+            backend=executor,
+        )
+        for row, expected in zip(got, ref):
+            np.testing.assert_array_equal(row, expected)
 
 
 class TestMalformedInputs:
@@ -262,13 +253,10 @@ class TestMalformedInputs:
     def test_malformed_inputs_raise_value_error(self, backend):
         model = make_model()
         executor = resolve_executor(backend, model)
-        try:
-            for label, call in self.cases(model):
-                with pytest.raises(ValueError):
-                    call(executor)
-                    pytest.fail(f"{label}: no error on {backend}")
-        finally:
-            close_executor(executor)
+        for label, call in self.cases(model):
+            with pytest.raises(ValueError):
+                call(executor)
+                pytest.fail(f"{label}: no error on {backend}")
 
 
 class TestDegenerateRaggedShapes:
@@ -280,24 +268,18 @@ class TestDegenerateRaggedShapes:
     def test_empty_batch_returns_empty_logits(self, policy, backend):
         model = make_model(policy)
         executor = resolve_executor(backend, model)
-        try:
-            logits = executor.forward_ragged(np.zeros((0, 1)), [], [])
-            assert logits.shape == (0, 1, model.config.vocab_size)
-        finally:
-            close_executor(executor)
+        logits = executor.forward_ragged(np.zeros((0, 1)), [], [])
+        assert logits.shape == (0, 1, model.config.vocab_size)
 
     @pytest.mark.parametrize("backend", ("reference",) + FAST_BACKENDS)
     @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
     def test_zero_width_ids_name_new_lens(self, policy, backend):
         model = make_model(policy)
         executor = resolve_executor(backend, model)
-        try:
-            with pytest.raises(ValueError, match=r"new_lens must be in \[1, 0\]"):
-                executor.forward_ragged(
-                    np.zeros((1, 0), dtype=np.int64), [model.new_kv_cache()], [1]
-                )
-        finally:
-            close_executor(executor)
+        with pytest.raises(ValueError, match=r"new_lens must be in \[1, 0\]"):
+            executor.forward_ragged(
+                np.zeros((1, 0), dtype=np.int64), [model.new_kv_cache()], [1]
+            )
 
 
 class TestExecutorContract:

@@ -278,6 +278,97 @@ def test_tiered_churn_holds_invariants(seed):
     pool.check_invariants()
 
 
+def position_bytes(stream, start, stop):
+    """K bytes of ``stream[start:stop]``: a pure function of the token
+    prefix, as a real model's K/V are (each position's value encodes its
+    token and position)."""
+    values = [stream[p] + p / 64.0 for p in range(start, stop)]
+    return np.asarray(values, dtype=np.float64)[None, None, :, None] * np.ones(
+        (1, HEADS, 1, DIM)
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_overlapping_registrations_dedupe_and_hold_invariants(seed):
+    """Requests recompute and register spans other requests already cached.
+
+    Unlike the fuzzers above, the keys here are real token prefixes: a few
+    conversation streams share a common opening, and each sequence writes
+    bytes that are a pure function of its token prefix.  So sequences
+    running side by side recompute the same spans, and a registration
+    finds spans that are already indexed.  After every registration the
+    registrant's full blocks must be the indexed blocks (no duplicate copy
+    stays pinned), every live sequence reads back exactly its own
+    prefix's bytes, and the pool's bookkeeping stays consistent.
+    """
+    rng = np.random.default_rng(seed)
+    pool = make_pool(max_blocks=20, initial_blocks=8, tier_blocks=4 * (seed % 2))
+    opening = [int(t) for t in rng.integers(1, 40, 9)]
+    streams = [
+        opening + [int(t) for t in rng.integers(1, 40, 14)] for _ in range(3)
+    ]
+    sequences = {}  # live SequenceKV -> its stream
+
+    def expected(seq, stream):
+        return position_bytes(stream, 0, seq.seq_len)
+
+    for _ in range(200):
+        op = rng.choice(
+            ["open", "append", "register", "rollback", "close", "evict"],
+            p=[0.2, 0.35, 0.2, 0.08, 0.12, 0.05],
+        )
+        try:
+            if op == "open" or not sequences:
+                stream = streams[int(rng.integers(len(streams)))]
+                seq = pool.sequence()
+                sequences[seq] = stream
+                if rng.random() < 0.5:
+                    want = int(rng.integers(2, len(stream)))
+                    seq.adopt_prefix(stream[:want], max_tokens=want - 1)
+            elif op == "append":
+                seq = list(sequences)[rng.integers(len(sequences))]
+                stream = sequences[seq]
+                stop = min(seq.seq_len + int(rng.integers(1, 6)), len(stream))
+                chunk = position_bytes(stream, seq.seq_len, stop)
+                for layer in range(LAYERS):
+                    seq.layers[layer].append(chunk, -chunk)
+            elif op == "register":
+                seq = list(sequences)[rng.integers(len(sequences))]
+                if seq.seq_len:
+                    tokens = sequences[seq][: seq.seq_len]
+                    seq.register_prefix(tokens)
+                    full_ids, _, _ = pool.prefix.match(tokens)
+                    assert seq.block_ids[: len(full_ids)] == full_ids
+            elif op == "rollback":
+                seq = list(sequences)[rng.integers(len(sequences))]
+                if seq.seq_len:
+                    seq.rollback(int(rng.integers(1, seq.seq_len + 1)))
+            elif op == "close":
+                seq = list(sequences)[rng.integers(len(sequences))]
+                seq.release()
+                del sequences[seq]
+            elif op == "evict":
+                pool.prefix.evict(pool, int(rng.integers(1, 4)))
+        except PoolExhaustedError:
+            if sequences:
+                victim = list(sequences)[0]
+                victim.release()
+                del sequences[victim]
+
+        pool.check_invariants()
+        check_structural_invariants(pool)
+        for seq, stream in sequences.items():
+            for layer in range(LAYERS):
+                k_all, v_all = seq.gather(layer)
+                np.testing.assert_array_equal(k_all, expected(seq, stream))
+                np.testing.assert_array_equal(v_all, -expected(seq, stream))
+
+    for seq in list(sequences):
+        seq.release()
+    pool.check_invariants()
+    assert pool.blocks_in_use <= len(pool.prefix)
+
+
 def test_alloc_free_churn_matches_reference_exactly():
     """Where each effect is observable, the shadow model tracks refcounts."""
     rng = np.random.default_rng(5)

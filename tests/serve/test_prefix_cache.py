@@ -84,6 +84,43 @@ class TestPrefixIndex:
         full_ids, _, _ = pool.prefix.match(list(range(8)))
         assert len(full_ids) == 2
 
+    def test_recomputed_span_is_deduped_onto_the_indexed_block(self):
+        """Two requests that prefilled the same prefix side by side: the
+        later registrant switches to the indexed blocks and frees its copies."""
+        pool = make_pool()
+        first, second = pool.sequence(), pool.sequence()
+        fill_all_layers(first, 8, value=2.0)
+        fill_all_layers(second, 12, value=2.0)
+        first.register_prefix(list(range(8)))
+        own = list(second.block_ids)
+        assert second.register_prefix(list(range(12))) == 1  # only block 3 is new
+        assert second.block_ids == first.block_ids + own[2:]
+        assert pool.blocks_in_use == 3
+        for block in first.block_ids:
+            assert pool.refcount(block) == 3  # first, second and the index
+        for layer in range(2):
+            k_all, v_all = second.gather(layer)
+            np.testing.assert_array_equal(k_all, np.full((1, 2, 12, 4), 2.0))
+            np.testing.assert_array_equal(v_all, np.full((1, 2, 12, 4), -2.0))
+        pool.check_invariants()
+
+    def test_deduped_registrant_does_not_pin_duplicate_ancestors(self):
+        """Without the dedupe the index would hold the first request's
+        blocks as ancestors of the registrant's entries: referenced by
+        nobody else, yet unevictable while the registrant runs."""
+        pool = make_pool(initial_blocks=6, max_blocks=6)
+        first, second = pool.sequence(), pool.sequence()
+        fill_all_layers(first, 8)
+        fill_all_layers(second, 12)
+        first.register_prefix(list(range(8)))
+        first.release()
+        second.register_prefix(list(range(12)))
+        assert pool.blocks_in_use == 3
+        assert pool.can_provide(3)
+        fill_all_layers(second, 12)  # grows to 24 positions: three new blocks
+        assert len(second.block_ids) == 6
+        pool.check_invariants()
+
     def test_register_more_tokens_than_committed_rejected(self):
         pool = make_pool()
         writer = pool.sequence()
@@ -283,3 +320,58 @@ class TestEvictionAndExhaustion:
         writer.release()
         # 4 cached blocks are evictable again on top of the headroom.
         assert pool.can_provide(6)
+
+
+class TestConcurrentTurnsOnATightPool:
+    """Turns of one chat that prefill side by side recompute the shared
+    opening; the later registrant's copy is deduped onto the indexed blocks.
+
+    The pool holds the longest request plus two blocks.  Kept, the copy
+    would leave the index pinning the earlier turn's blocks under the
+    later turn's entries, and the lone remaining request ran out of blocks
+    (``PoolExhaustedError``) mid-decode with prompt-lookup drafts.
+    """
+
+    @pytest.mark.parametrize("decode_strategy", ["one-token", "prompt-lookup"])
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @pytest.mark.parametrize("policy", ["fp16", "bf16-fp8kv"])
+    def test_serves_every_turn_exactly(self, policy, backend, decode_strategy):
+        from repro.nn.config import get_config
+        from repro.nn.generation import generate
+        from repro.nn.model import OPTLanguageModel
+        from repro.serve import ServeEngine, generate_workload
+
+        model = OPTLanguageModel(
+            get_config("opt-test"), rng=np.random.default_rng(39), policy=policy
+        )
+        model.eval()
+        workload = generate_workload(
+            "chat-multiturn", num_requests=5, vocab_size=model.config.vocab_size, seed=39
+        )
+        longest = max(r.prompt_ids.size + r.max_new_tokens for r in workload)
+        engine = ServeEngine(
+            model,
+            max_batch_size=2,
+            block_size=2,
+            prefix_caching=True,
+            prefill_budget=3,
+            max_blocks=-(-longest // 2) + 2,
+            decode_strategy=decode_strategy,
+            backend=backend,
+        )
+        report = engine.serve(workload)
+        assert len(report.completed) == len(workload)
+        engine.pool.check_invariants()
+        for request in workload:
+            np.testing.assert_array_equal(
+                report.by_id(request.request_id).tokens,
+                generate(
+                    model,
+                    request.prompt_ids,
+                    max_new_tokens=request.max_new_tokens,
+                    temperature=request.temperature,
+                    top_k=request.top_k,
+                    rng=np.random.default_rng(request.seed),
+                    stop_tokens=request.stop_tokens,
+                ),
+            )

@@ -13,9 +13,7 @@ models:
 * ``throughput`` — the multi-vector batching/throughput model.
 * ``serve-bench`` — the continuous-batching serving benchmark
   (traffic scenarios x swapped normalizers, writes ``BENCH_serve.json``;
-  ``--policy`` serves under a named precision policy;
-  ``--decode-strategy prompt-lookup`` compares speculative decoding
-  against its one-token baseline on the copy-heavy grid).
+  ``--policy`` serves under a named precision policy).
 * ``precision-sweep`` — the (precision policy x normalizer) grid of
   perplexity + serving cells (writes ``BENCH_precision.json``).
 * ``all``       — everything, in paper order.
@@ -153,10 +151,6 @@ def _cmd_serve_bench(args) -> None:
             max_blocks=args.max_blocks,
             block_size=args.block_size,
             priority_mix=args.priority_mix,
-            decode_strategy=args.decode_strategy,
-            ngram=args.ngram,
-            max_draft=args.max_draft,
-            copy_rate=args.copy_rate,
             backend=args.backend,
             policies=tuple(args.policies.split(",")) if args.policies else None,
             repeats=args.repeats,
@@ -166,8 +160,8 @@ def _cmd_serve_bench(args) -> None:
             slo_aware=args.slo_aware,
         )
     except (ValueError, KeyError) as exc:
-        # Flag mistakes (bad --ngram/--max-draft/--backend/--scenarios
-        # combinations) should read as usage errors, not tracebacks.
+        # Flag mistakes (bad --backend/--scenarios/--tier-* combinations)
+        # should read as usage errors, not tracebacks.
         message = exc.args[0] if exc.args else str(exc)
         raise SystemExit(f"serve-bench: {message}")
 
@@ -296,28 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority-mix", default=None, metavar="P:W,...",
         help="override request priority classes, e.g. '2:0.2,1:0.3,0:0.5' "
              "(larger priority = more urgent)",
-    )
-    p.add_argument(
-        "--decode-strategy", default="one-token",
-        choices=("one-token", "prompt-lookup"),
-        help="decode strategy: 'prompt-lookup' adds draft-free n-gram "
-             "speculation, pairs every cell with its one-token baseline "
-             "(identical tokens, fewer model steps), and defaults the "
-             "grid to the copy-heavy scenarios",
-    )
-    p.add_argument(
-        "--ngram", type=int, default=None, metavar="N",
-        help="longest n-gram the prompt-lookup speculator matches "
-             "(default 3)",
-    )
-    p.add_argument(
-        "--max-draft", type=int, default=None, metavar="K",
-        help="max draft tokens verified per speculative step (default 4)",
-    )
-    p.add_argument(
-        "--copy-rate", type=float, default=None, metavar="R",
-        help="copied-prompt fraction of the summarize-copy scenario "
-             "(0 <= R < 1; default 0.6)",
     )
     p.add_argument(
         "--backend", default="reference",

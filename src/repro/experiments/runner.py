@@ -36,20 +36,17 @@ def _merge_serve_rows(groups: list[object]) -> tuple[object, str]:
     """Fold the serve-bench cells back into one section table."""
     rows = list(groups)
     header = (
-        "scenario       normalizer   strategy       tokens/s   TTFT p50        "
-        "queue max  prefix hit  tok/step"
+        "scenario       normalizer   tokens/s   TTFT p50        queue max  prefix hit"
     )
     lines = [header]
     for row in rows:
         metrics = row["metrics"]
         lines.append(
             f"{row['scenario']:14s} {row['normalizer']:10s} "
-            f"{row.get('decode_strategy', 'one-token'):13s} "
             f"{metrics['tokens_per_second']:9.1f}  "
             f"{metrics['ttft_s']['p50'] * 1e3:9.2f} ms  "
             f"{metrics['queue_depth']['max']:6d}  "
-            f"{metrics['prefix_hit_rate'] * 100:9.1f}%  "
-            f"{metrics['decode_tokens_per_step']:8.2f}"
+            f"{metrics['prefix_hit_rate'] * 100:9.1f}%"
         )
     return rows, "\n".join(lines)
 
@@ -68,9 +65,6 @@ def build_sections(
     include_serve: bool = False,
     include_precision: bool = False,
     policy: str = "fp64-ref",
-    decode_strategy: str = "one-token",
-    ngram: int | None = None,
-    max_draft: int | None = None,
     backend: str = "reference",
 ) -> list[tuple[str, list[Job]]]:
     """Declare the paper's experiments as (section title, jobs) groups.
@@ -83,18 +77,11 @@ def build_sections(
     replays show the timings of the original computation.  ``policy``
     serves that section under the named precision policy, and
     ``include_precision`` adds the (policy × normalizer) precision-sweep
-    section as its own fan-out of perplexity + serving cells.  A
-    speculative ``decode_strategy`` (``--decode-strategy prompt-lookup``)
-    extends the serve section with paired one-token vs speculative cells
-    on the copy-heavy grid (``ngram`` / ``max_draft`` tune the
-    speculator).  ``backend`` runs every serve cell on the named
-    execution backend (tokens are backend-invariant, so cached rows stay
-    comparable; only the timing columns move).
+    section as its own fan-out of perplexity + serving cells.  ``backend``
+    runs every serve cell on the named execution backend (tokens are
+    backend-invariant, so cached rows stay comparable; only the timing
+    columns move).
     """
-    if decode_strategy == "one-token" and (ngram is not None or max_draft is not None):
-        raise ValueError("--ngram/--max-draft require --decode-strategy prompt-lookup")
-    if decode_strategy != "one-token" and not include_serve:
-        raise ValueError("--decode-strategy requires --serve")
     trials = 200 if quick else 1000
     if quick:
         llm_config = LLMEvalConfig(train_steps=60, eval_windows=8, seed=seed)
@@ -131,23 +118,6 @@ def build_sections(
             prefix_caching=True,
             prefill_budget=32,
         )
-        if decode_strategy != "one-token":
-            # Paired one-token vs speculative cells on the copy-heavy grid.
-            spec_knobs = {}
-            if ngram is not None:
-                spec_knobs["ngram"] = int(ngram)
-            if max_draft is not None:
-                spec_knobs["max_draft"] = int(max_draft)
-            serve_jobs += bench.jobs(
-                quick=quick,
-                seed=seed,
-                policy=policy,
-                backends=backends,
-                scenarios=bench.SPEC_SCENARIOS,
-                normalizers=("baseline",),
-                decode_strategies=("one-token", decode_strategy),
-                **spec_knobs,
-            )
         sections.append(("Serve bench", serve_jobs))
     if include_precision:
         sections.append(
@@ -167,9 +137,6 @@ def run_all(
     include_serve: bool = False,
     include_precision: bool = False,
     policy: str = "fp64-ref",
-    decode_strategy: str = "one-token",
-    ngram: int | None = None,
-    max_draft: int | None = None,
     backend: str = "reference",
 ) -> dict[str, object]:
     """Run every experiment; returns the raw rows keyed by experiment name.
@@ -200,9 +167,6 @@ def run_all(
         Append the precision-policy sweep section (``--precision``).
     policy:
         Precision policy of the serve-bench section's model (``--policy``).
-    decode_strategy / ngram / max_draft:
-        ``--decode-strategy prompt-lookup`` adds paired one-token vs
-        speculative serve cells on the copy-heavy grid.
     backend:
         Execution backend of every serve cell (``--backend``); tokens are
         backend-invariant, so only the timing columns move.
@@ -214,9 +178,6 @@ def run_all(
         include_serve=include_serve,
         include_precision=include_precision,
         policy=policy,
-        decode_strategy=decode_strategy,
-        ngram=ngram,
-        max_draft=max_draft,
         backend=backend,
     )
     flat = [job for _, group in sections for job in group]
@@ -270,20 +231,6 @@ def main(argv: list[str] | None = None) -> int:
         help="precision policy of the serve-bench section's model",
     )
     parser.add_argument(
-        "--decode-strategy", default="one-token",
-        choices=("one-token", "prompt-lookup"),
-        help="with --serve, also run paired one-token vs speculative "
-             "cells on the copy-heavy grid",
-    )
-    parser.add_argument(
-        "--ngram", type=int, default=None, metavar="N",
-        help="longest n-gram the prompt-lookup speculator matches",
-    )
-    parser.add_argument(
-        "--max-draft", type=int, default=None, metavar="K",
-        help="max draft tokens verified per speculative step",
-    )
-    parser.add_argument(
         "--backend", default="reference",
         help="execution backend of the serve-bench section's engine "
              "('reference' or 'compiled')",
@@ -299,9 +246,6 @@ def main(argv: list[str] | None = None) -> int:
         include_serve=args.serve,
         include_precision=args.precision,
         policy=args.policy,
-        decode_strategy=args.decode_strategy,
-        ngram=args.ngram,
-        max_draft=args.max_draft,
         backend=args.backend,
     )
     return 0

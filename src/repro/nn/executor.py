@@ -6,9 +6,8 @@ implementation in :class:`~repro.nn.model.OPTLanguageModel` under every
 precision policy.  This module makes that seam explicit:
 
 ``ModelExecutor``
-    The protocol: ``forward`` (dense BLAS path), ``forward_with_cache``,
-    ``verify_forward`` and ``forward_ragged``, mirroring the model methods
-    one-to-one.
+    The protocol: ``forward`` (dense BLAS path), ``forward_with_cache``
+    and ``forward_ragged``, mirroring the model methods one-to-one.
 
 ``ReferenceExecutor``
     Delegates every call verbatim to the model.  This *is* the historical
@@ -134,15 +133,12 @@ class ModelExecutor(Protocol):
         self, token_ids: np.ndarray, cache, last_only: bool = False
     ) -> np.ndarray: ...
 
-    def verify_forward(self, token_ids: np.ndarray, cache) -> np.ndarray: ...
-
     def forward_ragged(
         self,
         token_ids: np.ndarray,
         caches,
         new_lens,
         last_only: bool = True,
-        last_k: int = 1,
     ) -> np.ndarray: ...
 
 
@@ -160,12 +156,9 @@ class ReferenceExecutor:
     def forward_with_cache(self, token_ids, cache, last_only=False):
         return self.model.forward_with_cache(token_ids, cache, last_only=last_only)
 
-    def verify_forward(self, token_ids, cache):
-        return self.model.verify_forward(token_ids, cache)
-
-    def forward_ragged(self, token_ids, caches, new_lens, last_only=True, last_k=1):
+    def forward_ragged(self, token_ids, caches, new_lens, last_only=True):
         return self.model.forward_ragged(
-            token_ids, caches, new_lens, last_only=last_only, last_k=last_k
+            token_ids, caches, new_lens, last_only=last_only
         )
 
 
@@ -457,11 +450,7 @@ class CompiledExecutor:
             hidden = hidden[:, -1:, :]
         return plan.out_proj(hidden)
 
-    def verify_forward(self, token_ids, cache):
-        logits = self.forward_with_cache(token_ids, cache, last_only=False)
-        return np.argmax(logits, axis=-1)
-
-    def forward_ragged(self, token_ids, caches, new_lens, last_only=True, last_k=1):
+    def forward_ragged(self, token_ids, caches, new_lens, last_only=True):
         plan = self._ensure_plan()
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
@@ -477,8 +466,6 @@ class CompiledExecutor:
             token_ids.min() < 0 or token_ids.max() >= plan.vocab_size
         ):
             raise ValueError("token ids out of range for vocabulary")
-        if last_k < 1 or last_k > max_new:
-            raise ValueError(f"last_k must be in [1, {max_new}], got {last_k}")
         num_layers = len(plan.layers)
         for r, cache in enumerate(caches):
             if len(cache.layers) != num_layers:
@@ -511,7 +498,7 @@ class CompiledExecutor:
                 )
         hidden = plan.final_norm(hidden)
         if last_only:
-            hidden = hidden[:, -last_k:, :]
+            hidden = hidden[:, -1:, :]
         if plan.out_proj_into is not None:
             out = self._logits_out(hidden.shape[:-1] + (plan.vocab_size,))
             return plan.out_proj_into(hidden, out)

@@ -169,23 +169,6 @@ class LayerKVCache:
             self._k_buf = self._k_buf[rows]
             self._v_buf = self._v_buf[rows]
 
-    def truncate(self, length: int) -> None:
-        """Roll back to the first ``length`` cached positions.
-
-        Speculative decoding appends draft-token K/V optimistically and
-        discards the rejected tail; truncation only moves the logical
-        length, so the surviving positions keep their exact bytes and a
-        subsequent append overwrites the dead region — rollback followed
-        by re-append is bit-identical to never having appended at all
-        (the KV rollback tests pin this).
-        """
-        length = int(length)
-        if not 0 <= length <= self._len:
-            raise ValueError(
-                f"cannot truncate to {length}: cache holds {self._len} positions"
-            )
-        self._len = length
-
 
 class KVCache:
     """A stack of :class:`LayerKVCache` entries, one per decoder block.
@@ -218,11 +201,6 @@ class KVCache:
         """Keep only the given batch rows in every layer."""
         for layer in self.layers:
             layer.select_rows(rows)
-
-    def truncate(self, length: int) -> None:
-        """Roll every layer back to ``length`` positions (draft rejection)."""
-        for layer in self.layers:
-            layer.truncate(length)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -182,30 +182,12 @@ class OPTLanguageModel(Module):
             hidden = hidden[:, -1:, :]
         return self.ops.linear_det(hidden, self.token_embedding.weight.data.T, None)
 
-    def verify_forward(self, token_ids: np.ndarray, cache: KVCache) -> np.ndarray:
-        """Greedy argmax at every new position — speculative verification.
-
-        Runs ``token_ids`` (the last committed token followed by K draft
-        tokens) through the cached forward in **one** call and returns the
-        per-position greedy token ids, shape ``(batch, seq)``.  Position
-        ``j``'s argmax is computed with the cache holding exactly the
-        tokens preceding ``token_ids[:, j]``, so it equals what a
-        token-by-token greedy decode would have produced there — the
-        chunked==incremental bit-exactness the KV-cache tests pin.  The
-        caller accepts the longest draft prefix matching these ids and
-        rolls the cache back past the rejected tail
-        (:meth:`KVCache.truncate`).
-        """
-        logits = self.forward_with_cache(token_ids, cache, last_only=False)
-        return np.argmax(logits, axis=-1)
-
     def forward_ragged(
         self,
         token_ids: np.ndarray,
         caches,
         new_lens: np.ndarray,
         last_only: bool = True,
-        last_k: int = 1,
     ) -> np.ndarray:
         """Inference forward over a left-padded ragged batch of sequences.
 
@@ -229,19 +211,12 @@ class OPTLanguageModel(Module):
         property that makes tokens served from a ragged continuous batch
         equal to :func:`~repro.nn.generation.generate` on the same prompt.
 
-        Returns logits for each row's trailing ``last_k`` positions,
-        ``(batch, last_k, vocab)``, when ``last_only`` (the decode loops'
-        shape; ``last_k=1`` by default).  Speculative verification passes
-        ``last_k = 1 + max drafts``: a row that fed ``m <= last_k`` real
-        tokens reads its logits from the trailing ``m`` slots (rows are
-        right-aligned, so the trailing slots are always real lanes; any
-        leading slots of the slice are pad output).  Because the output
-        projection is per-position through the deterministic matmul,
-        widening ``last_k`` never changes the bytes of the positions a
-        narrower call returns.  With ``last_only=False``, logits for the
-        whole padded chunk, ``(batch, max_new, vocab)``, where the leading
-        ``max_new - new_lens[r]`` positions of row ``r`` are meaningless
-        pad output.
+        Returns logits for each row's final position, ``(batch, 1, vocab)``,
+        when ``last_only`` (the decode loops' shape; rows are right-aligned,
+        so the final slot is always a real lane).  With ``last_only=False``,
+        logits for the whole padded chunk, ``(batch, max_new, vocab)``,
+        where the leading ``max_new - new_lens[r]`` positions of row ``r``
+        are meaningless pad output.
         """
         if self.training:
             raise RuntimeError(
@@ -282,15 +257,12 @@ class OPTLanguageModel(Module):
             token_ids,
             positions,
         )
-        if last_k < 1 or last_k > max_new:
-            raise ValueError(f"last_k must be in [1, {max_new}], got {last_k}")
-
         for i, block in enumerate(self.blocks):
             layer_kvs = [cache.layers[i] for cache in caches]
             hidden = block.forward_ragged(hidden, layer_kvs, new_lens)
         hidden = self.final_norm(hidden)
         if last_only:
-            hidden = hidden[:, -last_k:, :]
+            hidden = hidden[:, -1:, :]
         return self.ops.linear_det(hidden, self.token_embedding.weight.data.T, None)
 
     def loss(self, token_ids: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

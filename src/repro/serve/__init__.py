@@ -16,14 +16,8 @@ runs until its last row finishes.  This package adds the serving layer:
 * :mod:`~repro.serve.scheduler` — policy-driven iteration-level
   scheduling: priority-class admission, a per-iteration prefill token
   budget that streams long prompts in as chunks interleaved with decode
-  rows, per-row speculative token budgets, and preemption under pool
-  exhaustion (victims are re-queued and re-run deterministically —
-  decode is bit-reproducible).
-* :mod:`~repro.serve.decode` — pluggable decode strategies: the classic
-  one-token step, or draft-free **prompt-lookup speculation** (n-gram
-  drafts out of the request's own prompt+output, greedily verified in
-  one multi-token forward, rejected tails rolled back) — several tokens
-  per model step with byte-identical output.
+  rows, and preemption under pool exhaustion (victims are re-queued and
+  re-run deterministically — decode is bit-reproducible).
 * :mod:`~repro.serve.engine` — drives the model's masked ragged forward
   over the scheduled batch; under greedy decoding each request's token
   stream is **bit-identical** to :func:`repro.nn.generation.generate` on
@@ -43,12 +37,6 @@ KV pool quantizes K/V on write to the policy's ``kv_cache_fmt`` — the
 bit-exactness guarantee above holds per policy, not just for float64.
 """
 
-from repro.serve.decode import (
-    DecodeStrategy,
-    GreedyOneToken,
-    PromptLookupSpeculator,
-    resolve_strategy,
-)
 from repro.serve.engine import ServeEngine, ServeReport
 from repro.serve.kv_pool import (
     BlockKVPool,
@@ -64,11 +52,8 @@ __all__ = [
     "BlockKVPool",
     "CompletedRequest",
     "ContinuousBatchScheduler",
-    "DecodeStrategy",
-    "GreedyOneToken",
     "PoolExhaustedError",
     "PrefixIndex",
-    "PromptLookupSpeculator",
     "Request",
     "SCENARIOS",
     "Scenario",
@@ -78,5 +63,4 @@ __all__ = [
     "ServeReport",
     "StepPlan",
     "generate_workload",
-    "resolve_strategy",
 ]

@@ -26,28 +26,19 @@ Results land in ``BENCH_serve.json``::
 
 ``metrics`` now includes the prefix-cache columns (``prefix_hit_rate``,
 ``prefix_tokens_reused``, ``prefill_tokens_computed``), the preemption
-counters (``preempted_count``, ``preempted_ids``), per-priority-class
-latency percentiles (``latency_by_priority``), and the speculative
-decoding counters (``draft_proposed`` / ``draft_accepted`` /
-``acceptance_rate`` / ``decode_tokens_per_step``); ``pool`` includes the
+counters (``preempted_count``, ``preempted_ids``) and per-priority-class
+latency percentiles (``latency_by_priority``); ``pool`` includes the
 sharing counters (``blocks_adopted``, ``cow_forks``,
 ``prefix_blocks_cached``, ``prefix_evictions``).
 
-With ``--decode-strategy prompt-lookup`` every cell runs **twice** — once
-under the classic one-token strategy and once speculatively — and a
-``spec_comparison`` section reports, per cell, the throughput ratio, the
-acceptance rate, and ``tokens_match``: whether the two runs' full token
-streams are byte-identical (they must be; every row carries a
-``token_digest`` checksum of its served output so the artifact itself
-proves it).  The copy-heavy ``summarize-copy`` scenario is the designed
-best case; CI uploads the comparison as ``BENCH_serve_spec.json``.
-
-With ``--backend compiled`` every cell is likewise paired with a
-reference-backend twin and the payload gains ``backend_comparison``:
-per-cell digest equality (the compiled executor may only change
-tokens/sec, never a token) plus the measured throughput ratio.
-``--policies a,b,c`` sweeps the pairing over several precision presets in
-one artifact — the recipe behind ``BENCH_executor.json``.
+Every row carries a ``token_digest`` checksum of its served output, so
+an artifact can prove that two runs served byte-identical tokens.  With
+``--backend compiled`` every cell is paired with a reference-backend twin
+and the payload gains ``backend_comparison``: per-cell digest equality
+(the compiled executor may only change tokens/sec, never a token) plus
+the measured throughput ratio.  ``--policies a,b,c`` sweeps the pairing
+over several precision presets in one artifact — the recipe behind
+``BENCH_executor.json``.
 
 With ``--tier-blocks`` / ``--tier-ratio`` every cell is paired with an
 *untiered* (evict-only) twin under identical traffic and the payload
@@ -79,7 +70,6 @@ from repro.engine import Job, ResultCache, run_jobs
 from repro.nn.config import get_config
 from repro.nn.executor import validate_backend
 from repro.nn.model import OPTLanguageModel
-from repro.serve.decode import resolve_strategy
 from repro.serve.engine import ServeEngine
 from repro.serve.workload import SCENARIOS, generate_workload
 
@@ -99,9 +89,6 @@ DEFAULT_NORMALIZERS = ("baseline", "iterl2norm")
 #: ``agent-fanout``, ``priority-burst``) are opt-in via ``--scenarios`` so
 #: the default artifact stays comparable across revisions.
 DEFAULT_SCENARIOS = ("steady", "bursty", "chat", "codegen")
-
-#: The copy-heavy cells the speculative comparison grid runs by default.
-SPEC_SCENARIOS = ("summarize-copy", "codegen")
 
 
 def validate_policies(presets) -> None:
@@ -145,7 +132,7 @@ def _token_digest(completed) -> str:
 
     Two runs serving the same workload produce equal digests iff every
     request's tokens are byte-identical — the artifact-level proof that a
-    scheduling or decode-strategy knob changed timings only.
+    scheduling or backend knob changed timings only.
     """
     crc = 0
     for c in sorted(completed, key=lambda c: c.request_id):
@@ -169,10 +156,6 @@ def run_scenario(
     max_blocks: int | None = None,
     block_size: int = 16,
     priority_mix: str | None = None,
-    decode_strategy: str = "one-token",
-    ngram: int | None = None,
-    max_draft: int | None = None,
-    copy_rate: float | None = None,
     backend: str = "reference",
     tier_blocks: int | None = None,
     tier_ratio: float | None = None,
@@ -187,12 +170,10 @@ def run_scenario(
     names the precision policy of the whole datapath (weights, activations,
     KV pool); the normalizer variant is layered on top of it.
     ``prefix_caching`` / ``prefill_budget`` / ``max_blocks`` /
-    ``priority_mix`` configure the scheduling features and
-    ``decode_strategy`` / ``ngram`` / ``max_draft`` the decode strategy
-    (see :class:`~repro.serve.engine.ServeEngine`); none of them changes
-    the served tokens — the row's ``token_digest`` checksums the full
-    output so artifacts can prove it.  ``copy_rate`` tunes the copied
-    fraction of a ``"copy"``-structured scenario's prompts.  ``backend``
+    ``priority_mix`` configure the scheduling features (see
+    :class:`~repro.serve.engine.ServeEngine`); none of them changes the
+    served tokens — the row's ``token_digest`` checksums the full output
+    so artifacts can prove it.  ``backend``
     selects the execution backend (``"reference"`` or ``"compiled"``);
     like the scheduling knobs it changes timings only, never a token.
     ``tier_blocks`` / ``tier_ratio`` / ``tier_fmt`` arm the cold KV tier
@@ -222,7 +203,6 @@ def run_scenario(
         seed=seed,
         rate_scale=rate_scale,
         priority_mix=priority_mix,
-        copy_rate=copy_rate,
     )
     engine = ServeEngine(
         model,
@@ -231,9 +211,6 @@ def run_scenario(
         prefix_caching=prefix_caching,
         prefill_budget=prefill_budget,
         max_blocks=max_blocks,
-        decode_strategy=resolve_strategy(
-            decode_strategy, ngram=ngram, max_draft=max_draft
-        ),
         backend=backend,
         tier_blocks=tier_blocks,
         tier_ratio=tier_ratio,
@@ -254,10 +231,6 @@ def run_scenario(
         "prefill_budget": prefill_budget,
         "max_blocks": max_blocks,
         "priority_mix": priority_mix,
-        "decode_strategy": decode_strategy,
-        "ngram": ngram,
-        "max_draft": max_draft,
-        "copy_rate": copy_rate,
         "backend": backend,
         "tier_blocks": tier_blocks,
         "tier_ratio": tier_ratio,
@@ -269,7 +242,7 @@ def run_scenario(
     }
     metrics = report.metrics
     text = (
-        f"{scenario:14s} {normalizer:10s} {decode_strategy:13s} {backend:9s} "
+        f"{scenario:14s} {normalizer:10s} {backend:9s} "
         f"{metrics['tokens_per_second']:9.1f} tok/s  "
         f"ttft p50 {metrics['ttft_s']['p50'] * 1e3:7.2f} ms  "
         f"p99 {metrics['ttft_s']['p99'] * 1e3:7.2f} ms  "
@@ -278,8 +251,6 @@ def run_scenario(
         f"reused blocks {report.pool_stats['blocks_reused']:4d}  "
         f"prefix hit {metrics['prefix_hit_rate'] * 100:5.1f}%  "
         f"preempt {metrics['preempted_count']:3d}  "
-        f"accept {metrics['acceptance_rate'] * 100:5.1f}%  "
-        f"tok/step {metrics['decode_tokens_per_step']:4.2f}  "
         f"cold {metrics['cold_hit_rate'] * 100:5.1f}%"
     )
     return rows, text
@@ -328,21 +299,17 @@ def jobs(
     scenarios=None,
     normalizers=DEFAULT_NORMALIZERS,
     policy: str = "fp64-ref",
-    decode_strategies=("one-token",),
     policies=None,
     backends=("reference",),
     repeats: int = 1,
     tiers=(None,),
     **params,
 ) -> list[Job]:
-    """One engine job per (scenario, normalizer, policy, strategy, backend).
+    """One engine job per (scenario, normalizer, policy, backend).
 
     Extra ``params`` (``prefix_caching``, ``prefill_budget``,
-    ``priority_mix``, ``ngram``, ``max_draft``, ...) are forwarded into
-    every cell — and into its cache key, so differently configured cells
-    never collide.  ``decode_strategies`` is usually the single default;
-    the speculative comparison grid passes ``("one-token",
-    "prompt-lookup")`` so each cell gets a paired baseline.  ``policies``
+    ``priority_mix``, ...) are forwarded into every cell — and into its
+    cache key, so differently configured cells never collide.  ``policies``
     (when given) overrides the single ``policy`` with a sweep axis, and
     ``backends`` does the same for execution backends — the
     executor-parity grid pairs ``("reference", "compiled")`` cells so the
@@ -366,49 +333,33 @@ def jobs(
     for scenario in names:
         for normalizer in normalizers:
             for cell_policy in policy_list:
-                for strategy in decode_strategies:
-                    for backend in backends:
-                        for tier in tiers:
-                            cell = dict(params)
-                            if strategy != "prompt-lookup":
-                                # ngram/max_draft configure prompt-lookup
-                                # only; a one-token baseline cell must not
-                                # inherit them.
-                                cell.pop("ngram", None)
-                                cell.pop("max_draft", None)
-                            if tier:
-                                cell.update(tier)
-                            name = f"serve[{scenario}/{normalizer}/{strategy}]"
-                            if len(policy_list) > 1:
-                                name = (
-                                    f"serve[{scenario}/{normalizer}/"
-                                    f"{cell_policy}/{strategy}]"
-                                )
-                            if backend != "reference":
-                                name += f"[{backend}]"
-                            if tier:
-                                name += "[tiered]"
-                            cell_params = {
-                                "scenario": scenario,
-                                "normalizer": normalizer,
-                                "quick": bool(quick),
-                                "policy": cell_policy,
-                                "decode_strategy": strategy,
-                                "backend": backend,
-                                **cell,
-                            }
-                            target = "repro.serve.bench:run_scenario"
-                            if repeats > 1:
-                                target = "repro.serve.bench:run_serve_cell"
-                                cell_params["repeats"] = int(repeats)
-                            declared.append(
-                                Job(
-                                    name=name,
-                                    target=target,
-                                    params=cell_params,
-                                    seed=seed,
-                                )
-                            )
+                for backend in backends:
+                    for tier in tiers:
+                        cell = dict(params)
+                        if tier:
+                            cell.update(tier)
+                        name = f"serve[{scenario}/{normalizer}]"
+                        if len(policy_list) > 1:
+                            name = f"serve[{scenario}/{normalizer}/{cell_policy}]"
+                        if backend != "reference":
+                            name += f"[{backend}]"
+                        if tier:
+                            name += "[tiered]"
+                        cell_params = {
+                            "scenario": scenario,
+                            "normalizer": normalizer,
+                            "quick": bool(quick),
+                            "policy": cell_policy,
+                            "backend": backend,
+                            **cell,
+                        }
+                        target = "repro.serve.bench:run_scenario"
+                        if repeats > 1:
+                            target = "repro.serve.bench:run_serve_cell"
+                            cell_params["repeats"] = int(repeats)
+                        declared.append(
+                            Job(name=name, target=target, params=cell_params, seed=seed)
+                        )
     return declared
 
 
@@ -420,7 +371,7 @@ def _reference_rows(results: list[dict]) -> list[dict]:
 def _untiered_rows(results: list[dict]) -> list[dict]:
     """The rows served without a cold tier.
 
-    The normalizer / speculation / backend comparisons pair cells that
+    The normalizer and backend comparisons pair cells that
     differ in exactly one knob; tiered twins differ in the tier too, so
     they are compared only in ``tier_comparison``.
     """
@@ -444,12 +395,9 @@ def _comparison(results: list[dict]) -> dict:
         (row["scenario"], row.get("policy")): row
         for row in rows
         if row["normalizer"] == "baseline"
-        and row.get("decode_strategy", "one-token") == "one-token"
     }
     comparison: dict[str, dict] = {}
     for row in rows:
-        if row.get("decode_strategy", "one-token") != "one-token":
-            continue  # strategy deltas live in spec_comparison
         base = baselines.get((row["scenario"], row.get("policy")))
         if base is None or row is base:
             continue
@@ -475,66 +423,12 @@ def _comparison(results: list[dict]) -> dict:
     return comparison
 
 
-def _spec_comparison(results: list[dict]) -> dict:
-    """Speculative vs one-token deltas per (scenario, normalizer) cell.
-
-    ``tokens_match`` compares the paired cells' token digests — the
-    served streams must be byte-identical, since greedy verification
-    accepts exactly the tokens one-token decoding would have produced.
-    Each speculative row is compared against the one-token baseline of
-    its *own* backend and policy.
-    """
-    results = _untiered_rows(results)
-    multi = _multi_policy(results)
-    baselines = {
-        (
-            row["scenario"],
-            row["normalizer"],
-            row.get("policy"),
-            row.get("backend", "reference"),
-        ): row
-        for row in results
-        if row.get("decode_strategy", "one-token") == "one-token"
-    }
-    comparison: dict[str, dict] = {}
-    for row in results:
-        strategy = row.get("decode_strategy", "one-token")
-        if strategy == "one-token":
-            continue
-        backend = row.get("backend", "reference")
-        base = baselines.get(
-            (row["scenario"], row["normalizer"], row.get("policy"), backend)
-        )
-        if base is None:
-            continue
-        base_tps = base["metrics"]["tokens_per_second"]
-        cell = f"{row['scenario']}/{row['normalizer']}"
-        if multi:
-            cell += f"/{row.get('policy')}"
-        if backend != "reference":
-            cell += f"/{backend}"
-        comparison.setdefault(cell, {})[strategy] = {
-            "tokens_match": row["token_digest"] == base["token_digest"],
-            "tokens_per_second_ratio": (
-                row["metrics"]["tokens_per_second"] / base_tps if base_tps else None
-            ),
-            "steps_ratio": (
-                row["metrics"]["steps"] / base["metrics"]["steps"]
-                if base["metrics"]["steps"]
-                else None
-            ),
-            "acceptance_rate": row["metrics"]["acceptance_rate"],
-            "decode_tokens_per_step": row["metrics"]["decode_tokens_per_step"],
-        }
-    return comparison
-
-
 def _backend_comparison(results: list[dict]) -> dict:
     """Compiled-vs-reference deltas per (scenario, normalizer, policy) cell.
 
     Every non-reference row is paired with the reference-backend run of the
-    identical cell (same scenario, normalizer, policy, strategy, seed —
-    identical traffic).  ``tokens_match`` compares the two runs' token
+    identical cell (same scenario, normalizer, policy, seed — identical
+    traffic).  ``tokens_match`` compares the two runs' token
     digests: a backend may only change tokens/sec, so a ``False`` here
     means the fused plan broke bit-exactness and the artifact itself
     proves it.  ``tokens_per_second_ratio`` > 1 is the backend's measured
@@ -542,33 +436,20 @@ def _backend_comparison(results: list[dict]) -> dict:
     """
     results = _untiered_rows(results)
     baselines = {
-        (
-            row["scenario"],
-            row["normalizer"],
-            row.get("policy"),
-            row.get("decode_strategy", "one-token"),
-        ): row
+        (row["scenario"], row["normalizer"], row.get("policy")): row
         for row in results
         if row.get("backend", "reference") == "reference"
     }
-    multi_strategy = (
-        len({row.get("decode_strategy", "one-token") for row in results}) > 1
-    )
     comparison: dict[str, dict] = {}
     for row in results:
         backend = row.get("backend", "reference")
         if backend == "reference":
             continue
-        strategy = row.get("decode_strategy", "one-token")
-        base = baselines.get(
-            (row["scenario"], row["normalizer"], row.get("policy"), strategy)
-        )
+        base = baselines.get((row["scenario"], row["normalizer"], row.get("policy")))
         if base is None:
             continue
         base_tps = base["metrics"]["tokens_per_second"]
         cell = f"{row['scenario']}/{row['normalizer']}/{row.get('policy')}"
-        if multi_strategy:
-            cell += f"/{strategy}"
         comparison.setdefault(cell, {})[backend] = {
             "tokens_match": row["token_digest"] == base["token_digest"],
             "tokens_per_second": row["metrics"]["tokens_per_second"],
@@ -588,8 +469,8 @@ def _tier_comparison(results: list[dict]) -> dict:
     """Tiered-vs-untiered deltas per (scenario, normalizer, policy) cell.
 
     Every tiered row is paired with the untiered (evict-only) run of the
-    identical cell — same scenario, normalizer, policy, strategy,
-    backend, seed, and therefore identical traffic.  ``tokens_match``
+    identical cell — same scenario, normalizer, policy, backend, seed,
+    and therefore identical traffic.  ``tokens_match``
     compares the twins' token digests: the tier may only change
     timings, so a ``False`` means a promotion restored bytes that a
     fresh write would not have produced and the artifact itself proves
@@ -604,7 +485,6 @@ def _tier_comparison(results: list[dict]) -> dict:
             row["scenario"],
             row["normalizer"],
             row.get("policy"),
-            row.get("decode_strategy", "one-token"),
             row.get("backend", "reference"),
         ): row
         for row in results
@@ -620,7 +500,6 @@ def _tier_comparison(results: list[dict]) -> dict:
                 row["scenario"],
                 row["normalizer"],
                 row.get("policy"),
-                row.get("decode_strategy", "one-token"),
                 row.get("backend", "reference"),
             )
         )
@@ -704,10 +583,6 @@ def run_bench(
     max_blocks: int | None = None,
     block_size: int | None = None,
     priority_mix: str | None = None,
-    decode_strategy: str = "one-token",
-    ngram: int | None = None,
-    max_draft: int | None = None,
-    copy_rate: float | None = None,
     backend: str = "reference",
     policies=None,
     repeats: int = 1,
@@ -726,11 +601,7 @@ def run_bench(
     ``max_blocks`` / ``priority_mix`` apply the scheduling knobs to every
     cell (the normalizer column stays an orthogonal axis) — a bounded
     ``max_blocks`` is what arms preemption, so the ``preempt`` column is
-    only ever nonzero with it.  A speculative ``decode_strategy`` turns
-    the grid into a paired comparison: every cell also runs its one-token
-    baseline (default scenarios then switch to the copy-heavy
-    :data:`SPEC_SCENARIOS`) and the payload gains ``spec_comparison``.
-    Analogously, a non-reference ``backend`` pairs every cell with its
+    only ever nonzero with it.  A non-reference ``backend`` pairs every cell with its
     reference-backend twin and the payload gains ``backend_comparison``
     (digest equality plus throughput ratio per cell) — with ``policies``
     the pairing sweeps each listed precision preset, which is how the
@@ -755,13 +626,6 @@ def run_bench(
         raise ValueError(f"--repeats must be >= 1, got {repeats}")
     if scenarios:
         validate_scenarios(scenarios)
-    if ngram is not None and ngram < 1:
-        raise ValueError(f"--ngram must be >= 1, got {ngram}")
-    if max_draft is not None and max_draft < 0:
-        raise ValueError(
-            f"--max-draft must be >= 0, got {max_draft} "
-            "(0 degrades to one-token decoding)"
-        )
     knobs = {}
     if prefix_caching:
         knobs["prefix_caching"] = True
@@ -773,25 +637,6 @@ def run_bench(
         knobs["block_size"] = int(block_size)
     if priority_mix is not None:
         knobs["priority_mix"] = priority_mix
-    if decode_strategy == "one-token" and (ngram is not None or max_draft is not None):
-        # Mirror resolve_strategy's guard at the grid level: a forgotten
-        # --decode-strategy must not silently discard the speculation knobs.
-        raise ValueError(
-            "--ngram/--max-draft require --decode-strategy prompt-lookup"
-        )
-    if ngram is not None:
-        knobs["ngram"] = int(ngram)
-    if max_draft is not None:
-        knobs["max_draft"] = int(max_draft)
-    if copy_rate is not None:
-        knobs["copy_rate"] = float(copy_rate)
-    if decode_strategy == "one-token":
-        strategies = ("one-token",)
-    else:
-        # Paired baseline per cell, and a copy-heavy default grid.
-        strategies = ("one-token", decode_strategy)
-        if scenarios is None:
-            scenarios = SPEC_SCENARIOS
     if backend == "reference":
         backends = ("reference",)
     else:
@@ -813,8 +658,8 @@ def run_bench(
         tiers = (None,)
     declared = jobs(
         quick=quick, seed=seed, scenarios=scenarios, normalizers=normalizers,
-        policy=policy, decode_strategies=strategies, policies=policies,
-        backends=backends, repeats=repeats, tiers=tiers, **knobs,
+        policy=policy, policies=policies, backends=backends, repeats=repeats,
+        tiers=tiers, **knobs,
     )
     cache = ResultCache(cache_dir) if use_cache else None
     outcomes = run_jobs(
@@ -823,9 +668,9 @@ def run_bench(
 
     results = [outcome.rows for outcome in outcomes]
     lines = [
-        "scenario       normalizer   strategy      backend        tokens/s"
+        "scenario       normalizer backend        tokens/s"
         "       TTFT p50 /    p99        ITL p50   queue   pool      prefix"
-        "    preempt    speculation",
+        "    preempt    cold",
     ]
     lines += [outcome.text for outcome in outcomes]
     payload = {
@@ -839,10 +684,6 @@ def run_bench(
             "prefill_budget": prefill_budget,
             "max_blocks": max_blocks,
             "priority_mix": priority_mix,
-            "decode_strategy": decode_strategy,
-            "ngram": ngram,
-            "max_draft": max_draft,
-            "copy_rate": copy_rate,
             "backend": backend,
             "policies": list(policies) if policies else None,
             "repeats": int(repeats),
@@ -855,7 +696,6 @@ def run_bench(
         },
         "results": results,
         "comparison": _comparison(results),
-        "spec_comparison": _spec_comparison(results),
         "backend_comparison": _backend_comparison(results),
         "tier_comparison": _tier_comparison(results),
     }

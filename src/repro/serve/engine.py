@@ -7,16 +7,9 @@ with the *decode* rows of established ones
 (:meth:`~repro.nn.model.OPTLanguageModel.forward_ragged`), samples from
 every row that reached its next position, and immediately retires
 finished sequences so their slot and KV blocks are reused on the next
-step.  A pluggable :class:`~repro.serve.decode.DecodeStrategy` decides
-how many tokens a decode row may emit per iteration: the default
-:class:`~repro.serve.decode.GreedyOneToken` reproduces the classic
-one-token loop, while :class:`~repro.serve.decode.PromptLookupSpeculator`
-feeds each row's last committed token *plus K draft tokens* through the
-same ragged forward, greedily verifies them position by position, emits
-the accepted prefix plus one correction token, and rolls the row's KV
-back past the rejected tail (:meth:`~repro.serve.kv_pool.SequenceKV
-.rollback`) — several tokens per model step, byte-identical output.
-Three scheduling features layer on top of the PR-2 loop:
+step.  Every decode row feeds its last committed token and emits one
+token per iteration.  Three scheduling features layer on top of the PR-2
+loop:
 
 * **Prefix caching** (``prefix_caching=True``): an admitted request first
   adopts pool blocks covering the longest cached prefix of its prompt
@@ -38,14 +31,9 @@ cached forwards — and the chunked cached path is bit-identical to the
 one-shot prefill (the chunked==prefill tests pin this under every
 precision policy), while adopted prefix blocks hold *the same bytes* the
 request would have written itself (K/V of positions ``0..n-1`` is a pure
-function of token ids ``0..n-1``).  Speculation preserves this: the
-verify forward computes position ``j``'s logits with the cache holding
-exactly the tokens before ``j``, acceptance compares the draft against
-the greedy argmax there, and rejected positions are rolled back — so the
-emitted tokens are precisely the sequential greedy stream, just batched
-into fewer model steps.  Combined with the ragged forward's per-row
-bit-exactness, a request's greedy token stream is bit-identical however
-it was batched, chunked, shared, preempted, re-run, or speculated — the
+function of token ids ``0..n-1``).  Combined with the ragged forward's
+per-row bit-exactness, a request's greedy token stream is bit-identical
+however it was batched, chunked, shared, preempted or re-run — the
 headline property the serve test suite pins down, per precision policy.
 
 **Clock.**  The engine keeps a *virtual clock* on the arrival timeline:
@@ -67,7 +55,6 @@ import numpy as np
 from repro.nn.executor import resolve_executor
 from repro.nn.generation import select_token
 from repro.nn.model import OPTLanguageModel
-from repro.serve.decode import DecodeStrategy, resolve_strategy
 from repro.serve.kv_pool import BlockKVPool
 from repro.serve.metrics import MetricsRecorder
 from repro.serve.request import CompletedRequest, Request, RequestState
@@ -94,30 +81,6 @@ class ServeReport:
         if self._index is None:
             self._index = {c.request_id: c for c in self.completed}
         return self._index[request_id]
-
-
-@dataclass
-class StepOutcome:
-    """What one engine iteration produced, before commit bookkeeping.
-
-    ``emitted`` pairs each state that reached its next position with the
-    tokens it emits this step — a single sampled token on the classic
-    path, the accepted-draft-plus-correction run under speculation.  The
-    counters feed the speculation metrics: ``draft_proposed`` /
-    ``draft_accepted`` count draft tokens verified this step, and
-    ``decode_rows`` / ``decode_tokens`` measure tokens-per-decode-row
-    (exactly 1.0 on the one-token path).
-    """
-
-    emitted: list[tuple[RequestState, list[int]]] = field(default_factory=list)
-    draft_proposed: int = 0
-    draft_accepted: int = 0
-    decode_rows: int = 0
-    decode_tokens: int = 0
-
-    @property
-    def tokens(self) -> int:
-        return sum(len(run) for _, run in self.emitted)
 
 
 class ServeEngine:
@@ -156,12 +119,6 @@ class ServeEngine:
         Give the scheduler the tier cost model so preemption victims are
         priced by recompute time (within the lowest priority class)
         instead of the classic newest-first order.  Off by default.
-    decode_strategy:
-        A :class:`~repro.serve.decode.DecodeStrategy` instance or
-        registered name (``"one-token"`` default, ``"prompt-lookup"``)
-        controlling how many tokens a decode row may emit per iteration.
-        Speculative strategies change step counts and throughput only —
-        never a single served token.
     timer:
         Monotonic-seconds callable used to measure step durations
         (default :func:`time.perf_counter`); inject a fake for
@@ -182,7 +139,6 @@ class ServeEngine:
         prefix_caching: bool = False,
         prefill_budget: int | None = None,
         max_blocks: int | None = None,
-        decode_strategy: DecodeStrategy | str | None = None,
         timer=None,
         backend: str | None = None,
         tier_blocks: int | None = None,
@@ -194,7 +150,6 @@ class ServeEngine:
         self.model = model
         self.executor = resolve_executor(backend, model)
         self.backend = self.executor.name
-        self.decode_strategy = resolve_strategy(decode_strategy)
         self.prefix_caching = bool(prefix_caching)
         if max_blocks is not None:
             # A bound tighter than the default preallocation just means a
@@ -228,7 +183,6 @@ class ServeEngine:
             max_batch_size=max_batch_size,
             prefill_budget=prefill_budget,
             max_position=model.config.max_position,
-            decode_strategy=self.decode_strategy,
             cost_model=cost_model if slo_aware else None,
         )
         self.timer = timer or time.perf_counter
@@ -256,7 +210,11 @@ class ServeEngine:
         token id lies outside the model's vocabulary: admitted, it would
         fail the embedding lookup of a later step and take every request
         batched with it down too.  A stop token outside the vocabulary is
-        rejected the same way, since no step could ever produce it.
+        rejected the same way, since no step could ever produce it.  So is
+        a request whose KV footprint exceeds a bounded pool even with
+        every other request preempted: admitted, its ``reserve`` would
+        raise :class:`~repro.serve.kv_pool.PoolExhaustedError` out of the
+        step and stop every request in the run.
         """
         prompt = request.prompt_ids
         vocab_size = self.model.config.vocab_size
@@ -271,7 +229,34 @@ class ServeEngine:
                 f"request {request.request_id!r}: stop token id(s) {bad_stops} "
                 f"out of range [0, {vocab_size})"
             )
+        max_blocks = self.pool.max_blocks
+        needed = self._footprint_blocks(request)
+        if max_blocks is not None and needed > max_blocks:
+            raise ValueError(
+                f"request {request.request_id!r}: needs {needed} KV blocks, "
+                f"more than the pool's max_blocks={max_blocks}"
+            )
         self.scheduler.enqueue(request)
+
+    def _footprint_blocks(self, request: Request) -> int:
+        """Most pool blocks the request can hold at once, in the worst case.
+
+        The cache holds the admitted prompt window and every generated
+        token but the last, which is never fed back; at ``max_position``
+        the window slides and the blocks go back.  With prefix caching the
+        first write into a shared partial block forks it while the shared
+        copy is still held, so the prompt's blocks need one more: an
+        adopted tail forks when prefill writes past it, the prompt's own
+        published tail when decode does.
+        """
+        bs = self.pool.block_size
+        max_pos = self.model.config.max_position
+        prompt = min(int(request.prompt_ids.size), max_pos)
+        written = min(prompt + request.max_new_tokens - 1, max_pos)
+        blocks = -(-written // bs)  # ceil division
+        if self.prefix_caching and bs > 1 and (prompt > 1 or written > prompt):
+            blocks = max(blocks, -(-prompt // bs) + 1)
+        return blocks
 
     def step_at(self, now: float) -> float:
         """Run one iteration with the virtual clock at ``now``.
@@ -313,19 +298,15 @@ class ServeEngine:
             recorder.record_preemption(victim.request.request_id, now)
 
         started = self.timer()
-        outcome = self._step(plan)
+        emitted = self._step(plan)
         elapsed = self.timer() - started
         now += elapsed
 
         finished = 0
-        for state, run in outcome.emitted:
-            first_tokens = state.produced == 0
-            for token in run:
-                # All tokens of a speculative run land at the same
-                # virtual-clock instant: they were produced by one
-                # model step (inter-token gaps within a run are 0).
-                state.record_token(token, now)
-            if first_tokens and state.adopted_tokens:
+        for state, token in emitted:
+            first_token = state.produced == 0
+            state.record_token(token, now)
+            if first_token and state.adopted_tokens:
                 # Count adopted positions only once the prefill they
                 # shortened actually completed — a run preempted
                 # mid-prefill never inflates the hit rate, and a
@@ -341,12 +322,8 @@ class ServeEngine:
             queue_depth=scheduler.queue_depth,
             active=scheduler.active_count + finished,
             elapsed=elapsed,
-            tokens=outcome.tokens,
+            tokens=len(emitted),
             prefill_tokens=plan.prefill_tokens,
-            draft_proposed=outcome.draft_proposed,
-            draft_accepted=outcome.draft_accepted,
-            decode_rows=outcome.decode_rows,
-            decode_tokens=outcome.decode_tokens,
         )
         return elapsed
 
@@ -384,23 +361,20 @@ class ServeEngine:
         return self.report()
 
     # -- one iteration -------------------------------------------------------------
-    def _step(self, plan: StepPlan) -> StepOutcome:
-        """Run one planned iteration; returns the emitted token runs.
+    def _step(self, plan: StepPlan) -> list[tuple[RequestState, int]]:
+        """Run one planned iteration; returns ``(state, sampled token)`` pairs.
 
         Prefill chunks and decode rows share one ragged forward.  A row
-        only yields tokens when it reached its next position: decode rows
+        only yields a token when it reached its next position: decode rows
         always do, prefill rows only on their final chunk (earlier chunks
         write KV and discard logits — exactly the work a one-shot prefill
-        performs for those positions).  A decode row with planned draft
-        tokens feeds ``[last committed, d1..dK]`` as one chunk and is
-        greedily verified (:meth:`_verify`); the others read a single
-        trailing logit row exactly as before.
+        performs for those positions).
         """
         prefill_chunk = {id(state): take for state, take in plan.prefill}
         decode_ids = {id(state) for state in plan.decode}
         max_pos = self.model.config.max_position
 
-        ragged: list[tuple[RequestState, np.ndarray, bool, tuple[int, ...]]] = []
+        ragged: list[tuple[RequestState, np.ndarray]] = []
         for state in self.scheduler.active():
             if id(state) in prefill_chunk:
                 take = prefill_chunk[id(state)]
@@ -408,93 +382,34 @@ class ServeEngine:
                     state.prompt_window[state.prefill_pos : state.prefill_pos + take],
                     dtype=np.int64,
                 )
-                final = state.prefill_pos + take == len(state.prompt_window)
-                ragged.append((state, chunk, final, ()))
+                ragged.append((state, chunk))
             elif id(state) in decode_ids:
-                draft = plan.draft_for(state)
-                chunk = np.asarray([state.tokens[-1], *draft], dtype=np.int64)
-                ragged.append((state, chunk, True, draft))
+                ragged.append((state, np.asarray(state.tokens[-1:], dtype=np.int64)))
 
-        outcome = StepOutcome()
+        emitted: list[tuple[RequestState, int]] = []
         if ragged:
-            new_lens = np.asarray([chunk.size for _, chunk, _, _ in ragged], dtype=np.int64)
+            new_lens = np.asarray([chunk.size for _, chunk in ragged], dtype=np.int64)
             width = int(new_lens.max())
             token_matrix = np.zeros((len(ragged), width), dtype=np.int64)
-            for row, (_, chunk, _, _) in enumerate(ragged):
+            for row, (_, chunk) in enumerate(ragged):
                 token_matrix[row, width - chunk.size :] = chunk
-            caches = [state.kv for state, _, _, _ in ragged]
-            # Rows are right-aligned, so a row verifying K drafts reads its
-            # logits from the trailing 1 + K slots; widening last_k never
-            # changes the bytes of the narrower slice (per-position
-            # deterministic projection).
-            last_k = max(1 + len(draft) for _, _, _, draft in ragged)
-            logits = self.executor.forward_ragged(
-                token_matrix, caches, new_lens, last_k=last_k
-            )
-            for row, (state, chunk, final, draft) in enumerate(ragged):
+            caches = [state.kv for state, _ in ragged]
+            logits = self.executor.forward_ragged(token_matrix, caches, new_lens)
+            for row, (state, chunk) in enumerate(ragged):
                 if id(state) in prefill_chunk:
                     state.prefill_pos += chunk.size
-                    if final and self.prefix_caching:
+                    if state.needs_prefill:
+                        continue
+                    if self.prefix_caching:
                         # The whole prompt window is committed and its
                         # blocks are now append-only: publish them.
                         state.kv.register_prefix(state.prompt_window)
-                    if final:
-                        outcome.emitted.append(
-                            (state, [self._sample(state, logits[row, -1])])
-                        )
-                elif draft:
-                    run, used = self._verify(state, draft, logits[row])
-                    outcome.emitted.append((state, run))
-                    outcome.draft_proposed += len(draft)
-                    outcome.draft_accepted += used
-                    outcome.decode_rows += 1
-                    outcome.decode_tokens += len(run)
-                else:
-                    outcome.emitted.append(
-                        (state, [self._sample(state, logits[row, -1])])
-                    )
-                    outcome.decode_rows += 1
-                    outcome.decode_tokens += 1
+                emitted.append((state, self._sample(state, logits[row, -1])))
         for state in plan.slid:
             context = np.asarray(state.tokens[-max_pos:], dtype=np.int64)[None, :]
             row_logits = self.executor.forward(context)[0, -1]
-            outcome.emitted.append((state, [self._sample(state, row_logits)]))
-            outcome.decode_rows += 1
-            outcome.decode_tokens += 1
-        return outcome
-
-    def _verify(
-        self, state: RequestState, draft: tuple[int, ...], row_logits: np.ndarray
-    ) -> tuple[list[int], int]:
-        """Greedy verification of one speculative row.
-
-        ``row_logits`` holds the row's trailing logits; slot ``j`` of the
-        last ``K + 1`` was computed with the cache holding exactly the
-        tokens before draft position ``j``, so its argmax is what
-        sequential greedy decoding would emit there
-        (:func:`~repro.nn.generation.select_token` at greedy temperature
-        *is* argmax).  The emitted run is the longest accepted draft
-        prefix plus the model's own token at the first mismatch — then
-        truncated at the first stop token and the remaining decode budget,
-        exactly where :func:`~repro.nn.generation.generate` would halt.
-        Rejected (and truncated) cache positions are rolled back so the
-        sequence's KV holds precisely the tokens preceding its last
-        emitted one.  Returns ``(run, drafts actually used)``.
-        """
-        greedy = np.argmax(row_logits[-(len(draft) + 1) :], axis=-1)
-        accepted = 0
-        while accepted < len(draft) and int(greedy[accepted]) == draft[accepted]:
-            accepted += 1
-        run = [int(t) for t in greedy[: accepted + 1]]
-        allowed = state.request.max_new_tokens - state.produced
-        run = run[:allowed]
-        stops = state.stop_set
-        for j, token in enumerate(run):
-            if token in stops:
-                run = run[: j + 1]
-                break
-        state.kv.rollback(1 + len(draft) - len(run))
-        return run, min(accepted, len(run))
+            emitted.append((state, self._sample(state, row_logits)))
+        return emitted
 
     def _sample(self, state: RequestState, logits: np.ndarray) -> int:
         request = state.request

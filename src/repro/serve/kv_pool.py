@@ -1144,10 +1144,8 @@ class SequenceKV:
         """Write a multi-token K/V chunk for ``layer`` into pool blocks.
 
         The chunk may span any number of block boundaries: whole prompts
-        during prefill, one token per decode step, or ``1 + K`` positions
-        when a speculative step optimistically appends draft tokens (the
-        rejected tail is discarded by :meth:`rollback`).  A write landing
-        in a block whose refcount exceeds one forks it first
+        or prompt chunks during prefill, one token per decode step.  A
+        write landing in a block whose refcount exceeds one forks it first
         (copy-on-write), so a cached prefix is never mutated.  Returns the
         gathered ``(k_all, v_all)`` views for the attention read.
         """
@@ -1208,8 +1206,9 @@ class SequenceKV:
         self._layer_len[layer] = end
         return self.gather(layer, out)
 
+    # No engine caller; kept because wallbench/tracer.py wraps it on every traced run.
     def rollback(self, n: int) -> None:
-        """Discard the last ``n`` committed positions (rejected draft tokens).
+        """Discard the last ``n`` committed positions.
 
         Called between forwards (every layer agrees on the length).  Blocks
         that fall entirely past the new length drop one reference back to

@@ -14,12 +14,8 @@ per-request completions, prefix-cache adoptions, and preemption events;
 :meth:`MetricsRecorder.summary` reduces them to the flat JSON-friendly
 dictionary ``BENCH_serve.json`` stores, including the prefix hit rate
 (adopted prompt positions over all prompt positions), prefill tokens
-actually computed, preemption counts, per-priority-class latency
-percentiles, and the speculative-decoding counters: ``draft_proposed`` /
-``draft_accepted`` (draft tokens verified), ``acceptance_rate``
-(accepted over proposed), and ``decode_tokens_per_step`` (tokens emitted
-per decode-row forward — exactly 1.0 on the one-token path, above 1.0
-whenever speculation lands).
+actually computed, preemption counts and per-priority-class latency
+percentiles.
 """
 
 from __future__ import annotations
@@ -40,8 +36,7 @@ def _distribution(values) -> dict[str, float]:
     reports ``0.0`` everywhere, with ``count == 0`` so consumers can tell
     "no data" from "instantaneous".  This keeps :meth:`MetricsRecorder.summary`
     NaN-free by construction: ``NaN`` is not valid JSON and used to leak
-    into the ``BENCH_serve*.json`` artifacts on draft-free or pure-prefill
-    runs.
+    into the ``BENCH_serve*.json`` artifacts on pure-prefill runs.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     out = {"count": int(arr.size)}
@@ -68,10 +63,6 @@ class MetricsRecorder:
         self._final_time = 0.0
         self._prefill_tokens = 0
         self._prefix_tokens = 0
-        self._draft_proposed = 0
-        self._draft_accepted = 0
-        self._decode_rows = 0
-        self._decode_tokens = 0
         self._cold_tokens_restored = 0
         self._cold_tokens_refused = 0
         #: (request_id, virtual-clock time) per preemption event.
@@ -85,30 +76,17 @@ class MetricsRecorder:
         elapsed: float,
         tokens: int,
         prefill_tokens: int = 0,
-        draft_proposed: int = 0,
-        draft_accepted: int = 0,
-        decode_rows: int = 0,
-        decode_tokens: int = 0,
     ) -> None:
         """One scheduler iteration: queue state, step time, tokens produced.
 
         ``prefill_tokens`` counts the prompt positions whose K/V this step
         actually computed (excluding decode rows and adopted prefixes).
-        ``draft_proposed`` / ``draft_accepted`` count the speculative
-        draft tokens this step verified and kept; ``decode_rows`` /
-        ``decode_tokens`` count decode-lane forwards and the tokens they
-        emitted (prefill-final samples excluded), the basis of the
-        tokens-per-decode-step metric.
         """
         self._queue_depths.append(int(queue_depth))
         self._active_counts.append(int(active))
         self._step_seconds.append(float(elapsed))
         self._step_tokens.append(int(tokens))
         self._prefill_tokens += int(prefill_tokens)
-        self._draft_proposed += int(draft_proposed)
-        self._draft_accepted += int(draft_accepted)
-        self._decode_rows += int(decode_rows)
-        self._decode_tokens += int(decode_tokens)
 
     def record_adoption(self, tokens: int) -> None:
         """Prompt positions adopted from the prefix cache at an admission."""
@@ -187,19 +165,6 @@ class MetricsRecorder:
             "prefix_tokens_reused": int(self._prefix_tokens),
             "prefix_hit_rate": (
                 float(self._prefix_tokens / prefix_total) if prefix_total else 0.0
-            ),
-            # Speculative decoding: draft tokens verified per model step.
-            "draft_proposed": int(self._draft_proposed),
-            "draft_accepted": int(self._draft_accepted),
-            "acceptance_rate": (
-                float(self._draft_accepted / self._draft_proposed)
-                if self._draft_proposed
-                else 0.0
-            ),
-            "decode_tokens_per_step": (
-                float(self._decode_tokens / self._decode_rows)
-                if self._decode_rows
-                else 0.0
             ),
             # Tiered KV: cold-span tokens promoted back vs re-prefilled.
             "cold_tokens_restored": int(self._cold_tokens_restored),

@@ -17,22 +17,14 @@ a fixed number of *decode slots*.  Every engine step:
    longer monopolizes an iteration; it streams in over several steps,
    interleaved with everyone else's decode rows (the chunked cached
    forward is bit-identical to a one-shot prefill, so chunking never
-   changes tokens).  With a speculative
-   :class:`~repro.serve.decode.DecodeStrategy` installed, each decode row
-   additionally receives a per-row **speculative token budget**: the
-   strategy's proposed draft tokens, capped by the row's remaining decode
-   budget and context-window headroom, recorded in
-   :attr:`StepPlan.drafts` for the engine's multi-token verify forward;
+   changes tokens);
 4. :meth:`Scheduler.reserve` pre-checks the plan's worst-case block demand
-   against the pool — a decode row with K planned draft tokens may commit
-   ``1 + K`` positions, and that speculative demand is counted *before*
-   the step runs, so speculation composes with bounded pools.  Under
-   exhaustion (a bounded pool that cannot grow or evict further) it
-   **preempts** victims — lowest priority class first, most recently
-   admitted within a class — releasing their blocks and re-queueing the
-   request at the front of its class.  Preemption is lossless: decode is
-   bit-reproducible from (prompt, seed) and speculation is
-   verified-greedy, so the re-run emits byte-identical output.
+   against the pool.  Under exhaustion (a bounded pool that cannot grow
+   or evict further) it **preempts** victims — lowest priority class
+   first, most recently admitted within a class — releasing their blocks
+   and re-queueing the request at the front of its class.  Preemption is
+   lossless: decode is bit-reproducible from (prompt, seed), so the
+   re-run emits byte-identical output.
 
 This extends the Orca-style iteration-level scheduling of the original
 FIFO scheduler; ``ContinuousBatchScheduler`` remains as an alias whose
@@ -46,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serve.decode import DecodeStrategy, resolve_strategy
 from repro.serve.kv_pool import BlockKVPool, PoolExhaustedError
 from repro.serve.request import Request, RequestState
 
@@ -56,39 +47,25 @@ class StepPlan:
     """One iteration's worth of work, laid out by :meth:`Scheduler.plan`.
 
     ``prefill`` pairs each mid-prefill state with the number of prompt
-    tokens it advances this step; ``decode`` states contribute at least
-    one token each; ``slid`` states run per-row full-window forwards
-    outside the pool.  ``drafts`` holds each decode row's speculative
-    token budget — the draft tokens the strategy proposed for it this
-    step, keyed by state identity (empty for classic one-token rows).
-    States stalled by the prefill budget appear in no list and simply
-    wait for the next iteration.
+    tokens it advances this step; ``decode`` states contribute one token
+    each; ``slid`` states run per-row full-window forwards outside the
+    pool.  States stalled by the prefill budget appear in no list and
+    simply wait for the next iteration.
     """
 
     prefill: list[tuple[RequestState, int]] = field(default_factory=list)
     decode: list[RequestState] = field(default_factory=list)
     slid: list[RequestState] = field(default_factory=list)
-    drafts: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def draft_for(self, state: RequestState) -> tuple[int, ...]:
-        """The draft tokens planned for a decode row (``()`` when none)."""
-        return self.drafts.get(id(state), ())
 
     def drop(self, state: RequestState) -> None:
         """Remove a (preempted) state from every lane."""
         self.prefill = [(s, n) for s, n in self.prefill if s is not state]
         self.decode = [s for s in self.decode if s is not state]
         self.slid = [s for s in self.slid if s is not state]
-        self.drafts.pop(id(state), None)
 
     @property
     def prefill_tokens(self) -> int:
         return sum(n for _, n in self.prefill)
-
-    @property
-    def draft_tokens(self) -> int:
-        """Total speculative tokens planned across all decode rows."""
-        return sum(len(draft) for draft in self.drafts.values())
 
 
 class Scheduler:
@@ -112,11 +89,6 @@ class Scheduler:
     preemption:
         Allow :meth:`reserve` to preempt under pool exhaustion.  With
         ``False`` an exhausted bounded pool raises instead.
-    decode_strategy:
-        A :class:`~repro.serve.decode.DecodeStrategy` (or registered
-        name) consulted per decode row when planning; the default
-        :class:`~repro.serve.decode.GreedyOneToken` proposes nothing and
-        reproduces the classic one-token iteration exactly.
     cost_model:
         Optional :class:`~repro.serve.costs.TierCostModel` enabling
         SLO-aware preemption: within the lowest priority class, the
@@ -133,7 +105,6 @@ class Scheduler:
         prefill_budget: int | None = None,
         max_position: int | None = None,
         preemption: bool = True,
-        decode_strategy: DecodeStrategy | str | None = None,
         cost_model=None,
     ) -> None:
         if max_batch_size < 1:
@@ -145,7 +116,6 @@ class Scheduler:
         self.prefill_budget = None if prefill_budget is None else int(prefill_budget)
         self.max_position = None if max_position is None else int(max_position)
         self.preemption = bool(preemption)
-        self.decode_strategy = resolve_strategy(decode_strategy)
         self.cost_model = cost_model
         #: (-priority, queue_seq, Request) min-heap: highest class first,
         #: lowest sequence number (earliest arrival / preempted re-entry)
@@ -243,29 +213,8 @@ class Scheduler:
                     if budget is not None:
                         budget -= take
             else:
-                draft = self._draft_budget(state)
-                if draft:
-                    plan.drafts[id(state)] = draft
                 plan.decode.append(state)
         return plan
-
-    def _draft_budget(self, state: RequestState) -> tuple[int, ...]:
-        """The decode row's speculative budget for this step.
-
-        The strategy's proposal is capped so a fully accepted draft can
-        never overshoot: a step verifying K drafts emits at most ``K + 1``
-        tokens (bounded by the remaining ``max_new_tokens``) and commits
-        at most ``1 + K`` cache positions (bounded by the context window —
-        past it the row slides out of the pool exactly as a one-token row
-        would at the same position).
-        """
-        limit = state.request.max_new_tokens - state.produced - 1
-        if self.max_position is not None:
-            limit = min(limit, self.max_position - state.kv.seq_len - 1)
-        if limit < 1:
-            return ()
-        draft = self.decode_strategy.propose(state, limit)
-        return tuple(int(t) for t in draft)[:limit]
 
     def _blocks_needed(self, state: RequestState, new_tokens: int) -> int:
         """Worst-case fresh blocks a state's planned write can consume.
@@ -289,16 +238,17 @@ class Scheduler:
         because :meth:`plan` grants the prefill budget in the same rank
         order, that protected state is also the best-ranked active state,
         so every iteration advances it: no preemption livelock.  If even
-        that lone state cannot fit, the pool is genuinely too small for
-        the workload and :class:`PoolExhaustedError` propagates.
+        that lone state cannot fit, :class:`PoolExhaustedError`
+        propagates.  That is a backstop: ``ServeEngine.submit`` rejects a
+        request whose footprint exceeds ``max_blocks`` before it is
+        queued.
         """
         victims: list[RequestState] = []
         while True:
             needed = sum(
                 self._blocks_needed(state, take) for state, take in plan.prefill
             ) + sum(
-                self._blocks_needed(state, 1 + len(plan.draft_for(state)))
-                for state in plan.decode
+                self._blocks_needed(state, 1) for state in plan.decode
             )
             if self.pool.can_provide(needed):
                 return victims

@@ -33,8 +33,7 @@ and priority scheduling features:
   shape of summarization / quote-heavy chat follow-ups), and decodes are
   long enough for greedy decoding to settle into its repetitive tail.
   Both make the continuation predictable from the request's own token
-  stream — the best case for prompt-lookup speculative decoding, and the
-  grid ``BENCH_serve_spec.json`` compares one-token vs speculative on.
+  stream.
 
 Two *application-DAG* scenarios stress the tiered KV pool: whole waves
 of requests share deep prefixes that go cold between waves and are
@@ -92,8 +91,8 @@ class Scenario:
     ``fanout`` requests sharing one ``shared_prefix_len`` context plus a
     private ``prompt_len`` suffix; ``"copy"`` builds prompts whose
     ``copy_rate`` fraction is a ``shared_prefix_len``-long motif tiled
-    repeatedly after a fresh ``prompt_len`` head (the copy-heavy shape
-    prompt-lookup speculation exploits); ``"agent-tree"`` builds call
+    repeatedly after a fresh ``prompt_len`` head (the copy-heavy shape of
+    summarization); ``"agent-tree"`` builds call
     trees of depth ``num_turns`` and branching ``fanout`` under one
     workload-wide ``shared_prefix_len`` system prompt, every node
     extending its parent's full prompt with a private ``prompt_len``
@@ -225,7 +224,7 @@ SCENARIOS: dict[str, Scenario] = {
         max_new=(14, 22),
         temperature=0.0,
         top_k=None,
-        description="copy-heavy greedy requests (prompt-lookup's best case)",
+        description="copy-heavy greedy requests over a tiled prompt motif",
         structure="copy",
         shared_prefix_len=(2, 4),  # motif length
         copy_rate=0.6,
@@ -349,7 +348,6 @@ def generate_workload(
     rate_scale: float = 1.0,
     eos_token_id: int | None = None,
     priority_mix: tuple[tuple[int, float], ...] | str | None = None,
-    copy_rate: float | None = None,
     sessions: int | None = None,
 ) -> list[Request]:
     """Expand a scenario into a concrete, fully seeded request list.
@@ -377,9 +375,6 @@ def generate_workload(
         Override the scenario's priority mix — ``(priority, weight)``
         pairs or a ``"0:0.5,2:0.5"`` CLI string (the ``--priority-mix``
         flag lands here).
-    copy_rate:
-        Override a ``"copy"`` scenario's copied-prompt fraction (the
-        ``--copy-rate`` knob; higher = more predictable prompts).
     sessions:
         Size the workload in *sessions* instead of raw requests: a
         ``"multiturn"`` scenario expands to ``sessions × num_turns``
@@ -408,8 +403,6 @@ def generate_workload(
                 "priority_mix": tuple((int(p), float(w)) for p, w in priority_mix),
             }
         )
-    if copy_rate is not None:
-        scenario = Scenario(**{**scenario.__dict__, "copy_rate": float(copy_rate)})
     if num_requests < 1:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     if vocab_size < 4:
@@ -523,10 +516,8 @@ def _copy_prompts(
     """Copy-heavy prompts: a fresh head followed by a tiled motif.
 
     A ``copy_rate`` fraction of each prompt is the same short motif
-    repeated back to back, so the prompt's trailing n-grams recur earlier
-    in the prompt with a known continuation — exactly the structure
-    prompt-lookup speculation converts into accepted drafts from the very
-    first decode steps.
+    repeated back to back, so the prompt's trailing tokens recur earlier
+    in the prompt with a known continuation.
     """
     out: list[tuple[str, np.ndarray]] = []
     rate = scenario.copy_rate

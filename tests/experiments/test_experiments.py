@@ -118,38 +118,27 @@ class TestTable4:
         assert abs(by_steps[10]["delta"]) < 0.01 * by_steps[10]["baseline_ppl"]
 
 
-class TestRunnerSpecGuards:
-    def test_spec_knobs_without_strategy_rejected(self):
+class TestRunnerServeSection:
+    def test_serve_section_declares_classic_and_structured_cells(self):
+        from repro.experiments.runner import build_sections
+        from repro.serve.bench import DEFAULT_SCENARIOS
+
+        sections = dict(build_sections(quick=True, include_serve=True))
+        scenarios = {job.params["scenario"] for job in sections["Serve bench"]}
+        assert scenarios == set(DEFAULT_SCENARIOS) | {"chat-multiturn", "agent-fanout"}
+
+    def test_no_serve_section_without_flag(self):
+        from repro.experiments.runner import build_sections
+
+        assert "Serve bench" not in dict(build_sections(quick=True))
+
+    def test_unknown_backend_rejected(self):
         import pytest
 
         from repro.experiments.runner import build_sections
 
-        with pytest.raises(ValueError, match="decode-strategy"):
-            build_sections(quick=True, include_serve=True, max_draft=8)
-
-    def test_strategy_without_serve_rejected(self):
-        import pytest
-
-        from repro.experiments.runner import build_sections
-
-        with pytest.raises(ValueError, match="serve"):
-            build_sections(quick=True, decode_strategy="prompt-lookup")
-
-    def test_spec_section_declares_paired_cells(self):
-        from repro.experiments.runner import build_sections
-
-        sections = dict(
-            build_sections(
-                quick=True, include_serve=True,
-                decode_strategy="prompt-lookup", ngram=2, max_draft=6,
-            )
-        )
-        strategies = {
-            job.params["decode_strategy"]
-            for job in sections["Serve bench"]
-            if job.params["scenario"] == "summarize-copy"
-        }
-        assert strategies == {"one-token", "prompt-lookup"}
+        with pytest.raises(ValueError, match="backend"):
+            build_sections(quick=True, include_serve=True, backend="nope")
 
 
 def test_runner_module_runs_once_as_main():

@@ -175,50 +175,9 @@ class TestIncrementalExactness:
             model.forward_with_cache(np.zeros((1, 1), dtype=np.int64), cache)
 
 
-class TestTruncateRollback:
-    """KV rollback: speculative decoding's discard-the-rejected-tail path."""
-
-    def test_truncate_then_reappend_is_bit_identical(self, model, rng):
-        """Rolling back draft positions and recomputing leaves no trace."""
-        model.eval()
-        ids = rng.integers(0, 64, size=(1, 14))
-        straight = model.forward_with_cache(ids, model.new_kv_cache())
-
-        cache = model.new_kv_cache()
-        prefix = model.forward_with_cache(ids[:, :8], cache)
-        # Append four wrong "draft" tokens, then reject them all.
-        wrong = (ids[:, 8:12] + 7) % 64
-        model.forward_with_cache(wrong, cache)
-        cache.truncate(8)
-        assert cache.seq_len == 8
-        tail = model.forward_with_cache(ids[:, 8:], cache)
-        np.testing.assert_array_equal(
-            np.concatenate([prefix, tail], axis=1), straight
-        )
-
-    def test_truncate_validates_range(self):
-        kv = LayerKVCache()
-        kv.append(np.zeros((1, 2, 5, 4)), np.zeros((1, 2, 5, 4)))
-        with pytest.raises(ValueError):
-            kv.truncate(6)
-        with pytest.raises(ValueError):
-            kv.truncate(-1)
-        kv.truncate(5)  # no-op
-        assert kv.seq_len == 5
-        kv.truncate(0)
-        assert kv.seq_len == 0
-
-    def test_stack_truncate_applies_to_every_layer(self, model):
-        model.eval()
-        cache = model.new_kv_cache()
-        model.forward_with_cache(np.zeros((1, 6), dtype=np.int64), cache)
-        cache.truncate(2)
-        assert all(layer.seq_len == 2 for layer in cache.layers)
-
-
-class TestVerifyForward:
-    def test_verify_forward_matches_sequential_greedy(self, model):
-        """One ragged verify call reproduces token-by-token greedy argmax."""
+class TestChunkedArgmax:
+    def test_chunk_argmax_matches_sequential_greedy(self, model):
+        """One multi-token cached call reproduces token-by-token greedy argmax."""
         model.eval()
         prompt = np.array([1, 2, 3])
         out = generate(model, prompt, max_new_tokens=6, temperature=0.0)
@@ -228,43 +187,15 @@ class TestVerifyForward:
         model.forward_with_cache(prompt[None, :-1], cache)
         assert int(np.argmax(model.forward_with_cache(
             prompt[None, -1:], cache, last_only=True)[0, -1])) == continuation[0]
-        # Feed [first generated, next 4 generated] as drafts in one call.
+        # Feed the first five generated tokens in one call.
         chunk = out[None, prompt.size : prompt.size + 5]
-        greedy = model.verify_forward(chunk, cache)
+        greedy = np.argmax(model.forward_with_cache(chunk, cache), axis=-1)
         np.testing.assert_array_equal(greedy[0], continuation[1:6])
 
-    def test_rejected_drafts_roll_back_exactly(self, model):
-        """verify + truncate + continue == plain greedy decoding."""
-        model.eval()
-        prompt = np.array([4, 5, 6, 7])
-        out = generate(model, prompt, max_new_tokens=8, temperature=0.0)
-        cache = model.new_kv_cache()
-        model.forward_with_cache(prompt[None, :], cache)
-        # Draft [correct, wrong, wrong]: one acceptance expected.
-        first = int(out[prompt.size])
-        draft = np.array([[first, (first + 9) % 64, (first + 11) % 64]])
-        greedy = model.verify_forward(draft, cache)
-        assert int(greedy[0, 0]) == int(out[prompt.size + 1])
-        accepted = 0
-        while (
-            accepted < draft.shape[1] - 1
-            and int(greedy[0, accepted]) == int(draft[0, accepted + 1])
-        ):
-            accepted += 1
-        cache.truncate(prompt.size + 1 + accepted)
-        # Continue one token at a time from the rolled-back cache.
-        tokens = list(out[: prompt.size + 2 + accepted])
-        while len(tokens) < out.size:
-            logits = model.forward_with_cache(
-                np.asarray([[tokens[-1]]]), cache, last_only=True
-            )[0, -1]
-            tokens.append(int(np.argmax(logits)))
-        np.testing.assert_array_equal(tokens, out)
 
-
-class TestRaggedLastK:
-    def test_last_k_slices_match_full_logits(self, model, rng):
-        """Widening last_k returns the same bytes per position as full output."""
+class TestRaggedLastOnly:
+    def test_last_only_matches_full_logits_trailing_slot(self, model, rng):
+        """``last_only`` returns the bytes of the full output's final slot."""
         model.eval()
         caches = [model.new_kv_cache() for _ in range(2)]
         warm = rng.integers(0, 64, size=(2, 4))
@@ -278,18 +209,9 @@ class TestRaggedLastK:
         for row, cache in enumerate(full_caches):
             model.forward_with_cache(warm[row : row + 1], cache)
         full = model.forward_ragged(ids, full_caches, new_lens, last_only=False)
-        sliced = model.forward_ragged(ids, caches, new_lens, last_k=3)
-        assert sliced.shape == (2, 3, 64)
-        np.testing.assert_array_equal(sliced, full)
-
-    def test_last_k_validated(self, model, rng):
-        model.eval()
-        caches = [model.new_kv_cache()]
-        ids = rng.integers(0, 64, size=(1, 2))
-        with pytest.raises(ValueError):
-            model.forward_ragged(ids, caches, np.array([2]), last_k=3)
-        with pytest.raises(ValueError):
-            model.forward_ragged(ids, caches, np.array([2]), last_k=0)
+        last = model.forward_ragged(ids, caches, new_lens)
+        assert last.shape == (2, 1, 64)
+        np.testing.assert_array_equal(last, full[:, -1:, :])
 
 
 class TestCachedGeneration:

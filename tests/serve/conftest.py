@@ -43,3 +43,27 @@ def fixed_timer_factory():
     into each step, and the count then tracks host load.
     """
     return _FixedTimer
+
+
+def _serve_checked(engine, requests):
+    """``serve()`` driven by hand through ``begin``/``submit``/``step_at``,
+    with ``BlockKVPool.check_invariants()`` after every step."""
+    pending = sorted(requests, key=lambda r: r.arrival_time)
+    engine.begin()
+    now, cursor = 0.0, 0
+    while cursor < len(pending) or engine.has_work:
+        while cursor < len(pending) and pending[cursor].arrival_time <= now:
+            engine.submit(pending[cursor])
+            cursor += 1
+        if not engine.has_work:
+            now = pending[cursor].arrival_time
+            continue
+        now += engine.step_at(now)
+        engine.pool.check_invariants()
+    return engine.report()
+
+
+@pytest.fixture
+def serve_checked():
+    """Serve stepwise, checking the pool's bookkeeping after every step."""
+    return _serve_checked

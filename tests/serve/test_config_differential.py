@@ -6,10 +6,11 @@ the engine is configured to do.  Instead of enumerating features by hand,
 each seed draws one whole configuration — precision preset, normalizer
 (exact LayerNorm or IterL2Norm in the policy's working format), backend,
 workload scenario, batch width, KV block size, prefix caching with a
-bounded pool, a cold KV tier (byte-exact or lossy), chunked prefill and
-the decode strategy — serves a small seeded workload, and checks every
-request against ``generate()``.  The draw is part of the failure message,
-so a failing seed names the configuration that broke.
+bounded pool, a cold KV tier (byte-exact or lossy) and chunked prefill —
+serves a small seeded workload through the stepwise interface with the
+pool's invariants checked after every step, and checks every request
+against ``generate()``.  The draw is part of the failure message, so a
+failing seed names the configuration that broke.
 """
 
 import math
@@ -41,7 +42,9 @@ def draw_config(seed):
         "block_size": pick((2, 4, 8)),
         "prefix_caching": bool(rng.integers(2)),
         "prefill_budget": pick((None, 3, 8)),
-        "decode_strategy": pick(("one-token", "prompt-lookup")),
+    }
+    rng.integers(2)  # a retired axis; still drawn so each seed keeps its fields
+    config |= {
         "pool_slack": int(rng.integers(0, 12)),
         "tier": pick((None, "exact", "fp8_e4m3")),
     }
@@ -74,7 +77,6 @@ def build(config, seed):
         block_size=config["block_size"],
         prefix_caching=config["prefix_caching"],
         prefill_budget=config["prefill_budget"],
-        decode_strategy=config["decode_strategy"],
         backend=config["backend"],
     )
     if config["prefix_caching"]:
@@ -92,10 +94,14 @@ def build(config, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s:02d}")
-def test_served_tokens_match_generate(seed, fixed_timer):
+def test_served_tokens_match_generate(seed, fixed_timer, serve_checked):
     config = draw_config(seed)
     model, workload, engine_kwargs = build(config, seed)
-    report = ServeEngine(model, timer=fixed_timer, **engine_kwargs).serve(workload)
+    engine = ServeEngine(model, timer=fixed_timer, **engine_kwargs)
+    try:
+        report = serve_checked(engine, workload)
+    except RuntimeError as exc:  # a broken pool invariant or PoolExhaustedError
+        raise AssertionError(f"serving failed under {config}") from exc
     assert sorted(c.request_id for c in report.completed) == sorted(
         r.request_id for r in workload
     ), f"not every request completed under {config}"
@@ -116,14 +122,12 @@ def test_served_tokens_match_generate(seed, fixed_timer):
 
 
 def test_draws_cover_the_space():
-    """The seeds reach every preset, backend and scenario, both normalizers,
-    both decode strategies and every tier kind — so a regression in any of
-    them fails some seed."""
+    """The seeds reach every preset, backend and scenario, both normalizers
+    and every tier kind — so a regression in any of them fails some seed."""
     draws = [draw_config(seed) for seed in SEEDS]
     assert {d["policy"] for d in draws} == set(POLICIES)
     assert {d["backend"] for d in draws} == set(BACKENDS)
     assert {d["scenario"] for d in draws} == set(SCENARIOS)
     assert {d["iterl2norm_steps"] for d in draws} == {None, 3, 5}
-    assert {d["decode_strategy"] for d in draws} == {"one-token", "prompt-lookup"}
     assert {d["tier"] for d in draws} == {None, "exact", "fp8_e4m3"}
     assert {d["prefill_budget"] for d in draws} == {None, 3, 8}

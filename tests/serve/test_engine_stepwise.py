@@ -135,6 +135,99 @@ class TestSubmitValidation:
         np.testing.assert_array_equal(report.by_id("good").tokens, expected)
 
 
+def reference(model, request):
+    return generate(
+        model,
+        request.prompt_ids,
+        max_new_tokens=request.max_new_tokens,
+        temperature=request.temperature,
+        top_k=request.top_k,
+        rng=np.random.default_rng(request.seed),
+        stop_tokens=request.stop_tokens,
+    )
+
+
+def drain(engine, now=0.0):
+    while engine.has_work:
+        now += engine.step_at(now)
+    return engine.report()
+
+
+class TestPoolFootprint:
+    """A request that cannot fit a bounded pool even alone is refused at
+    ``submit``; admitted, its ``reserve`` raised ``PoolExhaustedError`` out
+    of the step and every other request was lost with it."""
+
+    @pytest.mark.parametrize("prefix_caching, max_blocks", [(False, 2), (True, 3)])
+    def test_oversized_request_is_rejected_and_the_rest_serve(
+        self, model, prefix_caching, max_blocks
+    ):
+        engine = ServeEngine(
+            model, max_batch_size=2, block_size=4, max_blocks=max_blocks,
+            prefix_caching=prefix_caching, timer=_Timer(),
+        )
+        engine.begin()
+        small = Request("small", np.array([3, 1, 4]), max_new_tokens=4)
+        big = Request("big", np.arange(1, 13), max_new_tokens=4)
+        engine.submit(small)
+        with pytest.raises(ValueError, match=rf"'big'.*max_blocks={max_blocks}"):
+            engine.submit(big)
+        assert engine.scheduler.queue_depth == 1
+        report = drain(engine)
+        assert [c.request_id for c in report.completed] == ["small"]
+        np.testing.assert_array_equal(
+            report.by_id("small").tokens, reference(model, small)
+        )
+
+    @pytest.mark.parametrize(
+        "prefix_caching, max_blocks, max_new",
+        [(False, 2, 4), (True, 3, 8)],
+        ids=["plain", "prefix-caching"],
+    )
+    def test_request_exactly_at_the_bound_is_served(
+        self, model, prefix_caching, max_blocks, max_new
+    ):
+        """The prompt plus every generated token but the last fill the
+        pool; one more token is refused."""
+        engine = ServeEngine(
+            model, block_size=4, max_blocks=max_blocks,
+            prefix_caching=prefix_caching, timer=_Timer(),
+        )
+        engine.begin()
+        prompt = np.array([5, 9, 3, 7, 2])
+        at_bound = Request("at-bound", prompt, max_new_tokens=max_new)
+        with pytest.raises(ValueError, match="'one-over'"):
+            engine.submit(Request("one-over", prompt, max_new_tokens=max_new + 1))
+        engine.submit(at_bound)
+        report = drain(engine)
+        completed = report.by_id("at-bound")
+        assert (completed.generated, completed.finish_reason) == (max_new, "length")
+        np.testing.assert_array_equal(completed.tokens, reference(model, at_bound))
+        engine.pool.check_invariants()
+
+    def test_adopted_tail_fork_fits_at_the_bound(self, model):
+        """An adopted partial block forks while prefill writes past it, so
+        with prefix caching the prompt's blocks count one extra."""
+        engine = ServeEngine(
+            model, max_batch_size=1, block_size=2, max_blocks=4,
+            prefix_caching=True, timer=_Timer(),
+        )
+        short = Request("short", np.array([1, 2, 3]), max_new_tokens=1)
+        long = Request("long", np.array([1, 2, 3, 4, 5]), max_new_tokens=1,
+                       arrival_time=1.0)
+        report = engine.serve([short, long])
+        assert report.by_id("long").prefix_tokens_reused == 3
+        assert report.pool_stats["cow_forks"] == 1
+        for request in (short, long):
+            np.testing.assert_array_equal(
+                report.by_id(request.request_id).tokens, reference(model, request)
+            )
+        with pytest.raises(ValueError, match="'long'.*needs 4 KV blocks"):
+            ServeEngine(
+                model, block_size=2, max_blocks=3, prefix_caching=True
+            ).submit(long)
+
+
 class TestMeasuredClock:
     def test_engine_ignores_an_overlap_credit_method(self, model):
         """An executor offering overlap credit is still charged in full:

@@ -2,8 +2,8 @@
 
 The tentpole guarantee of the execution-backend layer: under every
 precision preset (fp64-ref through bf16-fp8kv) and on every serving path
-— the classic four scenarios, prefix caching, chunked prefill,
-preempt-then-rerun, and prompt-lookup speculation — an engine on the
+— the classic four scenarios, the copy-heavy scenario, prefix caching,
+chunked prefill and preempt-then-rerun — an engine on the
 ``compiled`` backend serves **exactly** the token streams the
 ``reference`` backend serves.  The compiled plan pre-resolves each
 layer's op sequence, batches the quantize-on-write KV path, and reuses
@@ -80,23 +80,17 @@ class TestClassicScenarios:
         )
 
 
-class TestSpeculationParity:
-    """summarize-copy with prompt-lookup speculation, every preset."""
+class TestCopyScenarioParity:
+    """summarize-copy's long greedy decodes, every preset."""
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_speculative_parity_and_generate_agreement(self, policy, fixed_timer):
+    def test_copy_parity_and_generate_agreement(self, policy, fixed_timer):
         model = make_model(policy)
         requests = workload("summarize-copy", count=6)
         _, comp_report = assert_backend_parity(
-            model,
-            requests,
-            max_batch_size=4,
-            decode_strategy="prompt-lookup",
-            timer=fixed_timer,
+            model, requests, max_batch_size=4, timer=fixed_timer
         )
-        # Speculation actually engaged on the compiled backend, and the
-        # served stream still equals the offline generate() reference.
-        assert comp_report.metrics["draft_accepted"] > 0
+        # The compiled stream also equals the offline generate() reference.
         for request in requests:
             expected = generate(
                 model,
@@ -242,10 +236,13 @@ class TestMalformedInputs:
             ),
             ("new_lens 0", lambda ex: ex.forward_ragged(ids, [full()], [0])),
             ("new_lens > max_new", lambda ex: ex.forward_ragged(ids, [full()], [4])),
-            ("last_k 0", lambda ex: ex.forward_ragged(ids, [full()], [3], last_k=0)),
             (
-                "last_k > max_new",
-                lambda ex: ex.forward_ragged(ids, [full()], [3], last_k=4),
+                "one cache for two rows",
+                lambda ex: ex.forward_ragged(np.vstack([ids, ids]), [full()], [3, 3]),
+            ),
+            (
+                "two new_lens for one row",
+                lambda ex: ex.forward_ragged(ids, [full()], [3, 3]),
             ),
         ]
 

@@ -206,7 +206,11 @@ class TestSequenceKV:
 
 
 class TestRollback:
-    """Speculative rollback on the pooled cache: blocks, refcounts, COW."""
+    """Rollback on the pooled cache: blocks, refcounts, COW.
+
+    No engine path calls ``SequenceKV.rollback``; wallbench's tracer wraps
+    it on every traced run, so it stays, and so do these tests.
+    """
 
     def _fill_all(self, seq, tokens, value=1.0):
         k = np.full((1, 2, tokens, 4), value)
@@ -226,7 +230,7 @@ class TestRollback:
             seq.layers[layer].append(base_k, base_v)
             ref.layers[layer].append(base_k, base_v)
         for layer in range(pool.num_layers):
-            seq.layers[layer].append(junk, -junk)  # rejected drafts
+            seq.layers[layer].append(junk, -junk)  # positions to discard
         seq.rollback(4)
         assert seq.seq_len == 6
         for layer in range(pool.num_layers):

@@ -329,13 +329,12 @@ class TestConcurrentTurnsOnATightPool:
     The pool holds the longest request plus two blocks.  Kept, the copy
     would leave the index pinning the earlier turn's blocks under the
     later turn's entries, and the lone remaining request ran out of blocks
-    (``PoolExhaustedError``) mid-decode with prompt-lookup drafts.
+    (``PoolExhaustedError``) mid-decode.
     """
 
-    @pytest.mark.parametrize("decode_strategy", ["one-token", "prompt-lookup"])
     @pytest.mark.parametrize("backend", ["reference", "compiled"])
     @pytest.mark.parametrize("policy", ["fp16", "bf16-fp8kv"])
-    def test_serves_every_turn_exactly(self, policy, backend, decode_strategy):
+    def test_serves_every_turn_exactly(self, policy, backend):
         from repro.nn.config import get_config
         from repro.nn.generation import generate
         from repro.nn.model import OPTLanguageModel
@@ -356,7 +355,6 @@ class TestConcurrentTurnsOnATightPool:
             prefix_caching=True,
             prefill_budget=3,
             max_blocks=-(-longest // 2) + 2,
-            decode_strategy=decode_strategy,
             backend=backend,
         )
         report = engine.serve(workload)

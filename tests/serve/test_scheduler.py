@@ -147,21 +147,7 @@ class TestStepPlan:
             Scheduler(make_pool(), prefill_budget=0)
 
 
-class _StubStrategy:
-    """Proposes a fixed draft for every greedy decode row."""
-
-    name = "stub"
-
-    def __init__(self, draft):
-        self.draft = tuple(draft)
-        self.limits = []
-
-    def propose(self, state, limit):
-        self.limits.append(limit)
-        return self.draft
-
-
-class TestSpeculativePlanning:
+class TestDecodeRows:
     def _decode_state(self, scheduler, rid, committed=2, **request_kwargs):
         scheduler.enqueue(make_request(rid, **request_kwargs))
         state = scheduler.admit(now=0.0)[-1]
@@ -172,90 +158,33 @@ class TestSpeculativePlanning:
         state.prefill_pos = len(state.prompt_window)
         return state
 
-    def test_drafts_recorded_per_decode_row(self):
-        stub = _StubStrategy((7, 8))
-        scheduler = Scheduler(make_pool(), max_batch_size=2, decode_strategy=stub)
+    def test_established_row_plans_one_decode_lane(self, scheduler):
         state = self._decode_state(scheduler, "a")
         plan = scheduler.plan()
         assert plan.decode == [state]
-        assert plan.draft_for(state) == (7, 8)
-        assert plan.draft_tokens == 2
+        assert plan.prefill == [] and plan.slid == []
+        assert plan.prefill_tokens == 0
 
-    def test_draft_capped_by_remaining_budget(self):
-        """max_new_tokens=4, 3 produced: at most 1+0 emitted, no drafts."""
-        stub = _StubStrategy((7, 8, 9))
-        scheduler = Scheduler(make_pool(), max_batch_size=1, decode_strategy=stub)
-        state = self._decode_state(scheduler, "a")  # max_new_tokens=4
-        state.produced = 3
-        plan = scheduler.plan()
-        assert plan.draft_for(state) == ()
-        state.produced = 1  # 3 remaining: K <= 2
-        plan = scheduler.plan()
-        assert plan.draft_for(state) == (7, 8)
-
-    def test_draft_capped_by_context_window(self):
-        stub = _StubStrategy((7, 8, 9))
-        scheduler = Scheduler(
-            make_pool(), max_batch_size=1, max_position=6, decode_strategy=stub
-        )
-        scheduler.enqueue(
-            Request("a", np.arange(1, 4), max_new_tokens=32)
-        )
-        state = scheduler.admit(now=0.0)[0]
-        heads, dim = scheduler.pool.num_heads, scheduler.pool.head_dim
-        chunk = np.zeros((1, heads, 4, dim))
-        for layer in range(scheduler.pool.num_layers):
-            state.kv.layers[layer].append(chunk, chunk.copy())
-        state.prefill_pos = len(state.prompt_window)
-        # seq_len 4, window 6: feeding 1 + K needs K <= 1.
-        plan = scheduler.plan()
-        assert plan.draft_for(state) == (7,)
-
-    def test_prefilling_rows_get_no_drafts(self):
-        stub = _StubStrategy((7,))
-        scheduler = Scheduler(make_pool(), max_batch_size=1, decode_strategy=stub)
-        scheduler.enqueue(make_request("a"))
-        scheduler.admit(now=0.0)
-        plan = scheduler.plan()
-        assert plan.prefill and not plan.decode
-        assert plan.draft_tokens == 0
-        assert stub.limits == []  # never consulted for prefill rows
-
-    def test_reserve_accounts_for_draft_positions(self):
-        """A speculative row's worst case is 1 + K committed positions."""
-        stub = _StubStrategy(tuple(range(7)))
+    @pytest.mark.parametrize("committed, fresh", [(3, 0), (4, 1), (8, 1)])
+    def test_decode_row_reserves_one_position(self, committed, fresh):
+        """A decode row needs a fresh block only when its tail block is full."""
         pool = make_pool(initial_blocks=8, max_blocks=8)
-        scheduler = Scheduler(pool, max_batch_size=2, decode_strategy=stub)
-        keeper = self._decode_state(
-            scheduler, "keeper", committed=24, prompt_len=3
-        )
-        victim = self._decode_state(scheduler, "victim", committed=4, prompt_len=3)
-        keeper.request = Request("keeper", np.arange(1, 4), max_new_tokens=32)
-        victim.request = Request("victim", np.arange(1, 4), max_new_tokens=32)
-        plan = scheduler.plan()
-        # keeper: 24 committed (6 blocks), 8 planned tokens -> 2 fresh blocks;
-        # victim: 4 committed (1 block), 8 planned -> 2 fresh.  8-block pool
-        # holds 7: preemption must fire, and drop the victim's drafts.
-        victims = scheduler.reserve(plan)
-        assert victims == [victim]
-        assert plan.draft_for(victim) == ()
-        assert plan.draft_for(keeper) != ()
+        scheduler = Scheduler(pool, max_batch_size=1)
+        state = self._decode_state(scheduler, "a", committed=committed)
+        assert scheduler._blocks_needed(state, 1) == fresh
+        assert scheduler.reserve(scheduler.plan()) == []
 
-    def test_drop_clears_drafts(self):
-        stub = _StubStrategy((7,))
-        scheduler = Scheduler(make_pool(), max_batch_size=1, decode_strategy=stub)
-        state = self._decode_state(scheduler, "a")
+    def test_drop_removes_state_from_every_lane(self):
+        scheduler = Scheduler(make_pool(), max_batch_size=2)
+        decoding = self._decode_state(scheduler, "d")
+        scheduler.enqueue(make_request("p"))
+        prefilling = scheduler.admit(now=0.0)[-1]
         plan = scheduler.plan()
-        assert plan.draft_tokens == 1
-        plan.drop(state)
-        assert plan.draft_tokens == 0
-        assert plan.decode == []
-
-    def test_default_strategy_plans_classically(self, scheduler):
-        state = self._decode_state(scheduler, "a")
-        plan = scheduler.plan()
-        assert plan.decode == [state]
-        assert plan.drafts == {}
+        assert plan.decode == [decoding]
+        assert [s for s, _ in plan.prefill] == [prefilling]
+        plan.drop(decoding)
+        plan.drop(prefilling)
+        assert plan.decode == [] and plan.prefill == []
 
 
 class TestPreemption:

@@ -1,8 +1,8 @@
-"""MetricsRecorder reductions: distribution edges, priority classes, spec.
+"""MetricsRecorder reductions: distribution edges, priority classes, steps.
 
 Satellite coverage for :mod:`repro.serve.metrics`: ``_distribution`` on
 empty and single-value samples, ``latency_by_priority`` when a priority
-class completes nothing, and the speculative counters' zero/denominator
+class completes nothing, and the per-step counters' zero/denominator
 behaviour.
 """
 
@@ -91,30 +91,30 @@ class TestLatencyByPriority:
         assert not math.isnan(row["queue_wait_s"]["mean"])
 
 
-class TestSpeculationCounters:
-    def test_zero_speculation_rates(self):
+class TestStepCounters:
+    def test_no_prefill_hit_rate_is_zero(self):
         recorder = MetricsRecorder()
         recorder.record_step(queue_depth=0, active=1, elapsed=0.01, tokens=1)
         summary = recorder.summary()
-        assert summary["draft_proposed"] == 0
-        assert summary["acceptance_rate"] == 0.0
-        assert summary["decode_tokens_per_step"] == 0.0
+        assert summary["steps"] == 1
+        assert summary["prefill_tokens_computed"] == 0
+        assert summary["prefix_hit_rate"] == 0.0
 
-    def test_rates_accumulate_across_steps(self):
+    def test_prefill_and_adoption_accumulate_across_steps(self):
         recorder = MetricsRecorder()
         recorder.record_step(
-            queue_depth=0, active=2, elapsed=0.01, tokens=5,
-            draft_proposed=4, draft_accepted=3, decode_rows=2, decode_tokens=5,
+            queue_depth=0, active=2, elapsed=0.01, tokens=2, prefill_tokens=6
         )
         recorder.record_step(
-            queue_depth=0, active=2, elapsed=0.01, tokens=2,
-            draft_proposed=2, draft_accepted=0, decode_rows=2, decode_tokens=2,
+            queue_depth=1, active=2, elapsed=0.02, tokens=2, prefill_tokens=2
         )
+        recorder.record_adoption(8)
         summary = recorder.summary()
-        assert summary["draft_proposed"] == 6
-        assert summary["draft_accepted"] == 3
-        assert summary["acceptance_rate"] == 0.5
-        assert summary["decode_tokens_per_step"] == 7 / 4
+        assert summary["steps"] == 2
+        assert summary["prefill_tokens_computed"] == 8
+        assert summary["prefix_tokens_reused"] == 8
+        assert summary["prefix_hit_rate"] == 0.5
+        assert summary["queue_depth"] == {"mean": 0.5, "max": 1}
 
     def test_empty_run_summary_is_strict_json(self):
         """A run that completed nothing serializes with allow_nan=False —
@@ -123,15 +123,14 @@ class TestSpeculationCounters:
         parsed = json.loads(json.dumps(summary, allow_nan=False))
         assert parsed["inter_token_latency_s"]["count"] == 0
         assert parsed["inter_token_latency_s"]["p99"] == 0.0
-        assert parsed["acceptance_rate"] == 0.0
-        assert parsed["decode_tokens_per_step"] == 0.0
+        assert parsed["prefix_hit_rate"] == 0.0
+        assert parsed["cold_hit_rate"] == 0.0
 
     def test_summary_is_json_serializable(self):
         recorder = MetricsRecorder()
         recorder.record_completion(completed("a"), [1.0, 1.2])
         recorder.record_step(
-            queue_depth=1, active=1, elapsed=0.01, tokens=2,
-            draft_proposed=1, draft_accepted=1, decode_rows=1, decode_tokens=2,
+            queue_depth=1, active=1, elapsed=0.01, tokens=2, prefill_tokens=3
         )
         parsed = json.loads(json.dumps(recorder.summary(max_batch_size=4)))
         assert parsed["tokens_generated"] == 3

@@ -98,7 +98,7 @@ def _cmd_throughput(args) -> None:
 
 
 def _add_tier_arguments(p) -> None:
-    """The cold-KV-tier and SLO-aware preemption flags of ``serve-bench``.
+    """The cold-KV-tier flags of ``serve-bench``.
 
     Arming the tier (``--tier-blocks`` / ``--tier-ratio``) pairs every
     cell with an untiered evict-only twin and adds ``tier_comparison``
@@ -123,12 +123,6 @@ def _add_tier_arguments(p) -> None:
              "the tier lossy, so cold hits re-prefill instead of "
              "promoting — exactness over reuse)",
     )
-    p.add_argument(
-        "--slo-aware", action="store_true",
-        help="rank preemption victims by modeled recompute cost within "
-             "the lowest priority class (macro memory-interface cost "
-             "model) instead of pure arrival order",
-    )
 
 
 def _cmd_serve_bench(args) -> None:
@@ -150,14 +144,12 @@ def _cmd_serve_bench(args) -> None:
             prefill_budget=args.prefill_budget,
             max_blocks=args.max_blocks,
             block_size=args.block_size,
-            priority_mix=args.priority_mix,
             backend=args.backend,
             policies=tuple(args.policies.split(",")) if args.policies else None,
             repeats=args.repeats,
             tier_blocks=args.tier_blocks,
             tier_ratio=args.tier_ratio,
             tier_fmt=args.tier_fmt,
-            slo_aware=args.slo_aware,
         )
     except (ValueError, KeyError) as exc:
         # Flag mistakes (bad --backend/--scenarios/--tier-* combinations)
@@ -278,18 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-blocks", type=int, default=None, metavar="N",
         help="bound the KV pool at N blocks; exhaustion then preempts "
-             "lowest-priority requests (re-run deterministically) instead "
-             "of growing — required for a nonzero preempt column",
+             "the most recently queued requests (re-run deterministically) "
+             "instead of growing — required for a nonzero preempt column",
     )
     p.add_argument(
         "--block-size", type=int, default=None, metavar="TOKENS",
         help="token positions per KV block (default 16; smaller blocks "
              "make --max-blocks bounds and prefix sharing finer-grained)",
-    )
-    p.add_argument(
-        "--priority-mix", default=None, metavar="P:W,...",
-        help="override request priority classes, e.g. '2:0.2,1:0.3,0:0.5' "
-             "(larger priority = more urgent)",
     )
     p.add_argument(
         "--backend", default="reference",

@@ -146,13 +146,17 @@ class IterationController:
             # Degenerate all-zero input: scale of zero, only the init cost.
             return PhaseResult("iteration", self.INIT_CYCLES, 0.0)
         a, lam = self.initial_values(m)
-        for _ in range(num_steps):
-            ma = self.mul.scalar_mul(m, a)
-            ma2 = self.mul.scalar_mul(ma, a)
-            one_minus = self.add.scalar_sub(1.0, ma2)
-            lam_ma = self.mul.scalar_mul(lam, ma)
-            delta = self.mul.scalar_mul(lam_ma, one_minus)
-            a = self.add.scalar_add(a, delta)
+        # An overflowed squared norm (m = inf) turns the update into
+        # inf - inf = NaN, as in the software iteration, which runs its
+        # loop under the same errstate and returns the same NaNs silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(num_steps):
+                ma = self.mul.scalar_mul(m, a)
+                ma2 = self.mul.scalar_mul(ma, a)
+                one_minus = self.add.scalar_sub(1.0, ma2)
+                lam_ma = self.mul.scalar_mul(lam, ma)
+                delta = self.mul.scalar_mul(lam_ma, one_minus)
+                a = self.add.scalar_add(a, delta)
         sqrt_d = float(quantize(np.sqrt(d), self.fmt))
         scale = self.mul.scalar_mul(a, sqrt_d)
         cycles = self.INIT_CYCLES + num_steps * self.CYCLES_PER_STEP + self.FINAL_SCALE_CYCLES

@@ -13,17 +13,19 @@ runs until its last row finishes.  This package adds the serving layer:
   blocks from a shared pool and return them on retirement; a radix/trie
   prefix index lets later requests *adopt* blocks covering a shared
   prompt prefix (copy-on-write protected) instead of re-prefilling it.
-* :mod:`~repro.serve.scheduler` — policy-driven iteration-level
-  scheduling: priority-class admission, a per-iteration prefill token
-  budget that streams long prompts in as chunks interleaved with decode
-  rows, and preemption under pool exhaustion (victims are re-queued and
-  re-run deterministically — decode is bit-reproducible).
+* :mod:`~repro.serve.scheduler` — iteration-level scheduling in one
+  FIFO order: admission, a per-iteration prefill token budget that
+  streams long prompts in as chunks interleaved with decode rows, and
+  preemption of the most recently queued requests under pool exhaustion
+  (victims are re-queued and re-run deterministically — decode is
+  bit-reproducible).
 * :mod:`~repro.serve.engine` — drives the model's masked ragged forward
   over the scheduled batch; under greedy decoding each request's token
   stream is **bit-identical** to :func:`repro.nn.generation.generate` on
   that prompt alone (including across the sliding-window spillover).
 * :mod:`~repro.serve.workload` — synthetic traffic scenarios (steady,
-  bursty, chat-style, codegen-style) built on the arrival processes of
+  bursty, chat-style, codegen-style, plus shared-prefix and
+  application-DAG shapes) built on the arrival processes of
   :mod:`repro.macro.traffic`.
 * :mod:`~repro.serve.metrics` — TTFT / inter-token-latency percentiles,
   tokens/sec, queue depth, slot occupancy.
@@ -45,13 +47,12 @@ from repro.serve.kv_pool import (
     SequenceKV,
 )
 from repro.serve.request import CompletedRequest, Request
-from repro.serve.scheduler import ContinuousBatchScheduler, Scheduler, StepPlan
+from repro.serve.scheduler import Scheduler, StepPlan
 from repro.serve.workload import SCENARIOS, Scenario, generate_workload
 
 __all__ = [
     "BlockKVPool",
     "CompletedRequest",
-    "ContinuousBatchScheduler",
     "PoolExhaustedError",
     "PrefixIndex",
     "Request",

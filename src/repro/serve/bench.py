@@ -9,8 +9,8 @@ under literally identical traffic — the timing columns then isolate what
 the normalizer swap (``replace_layernorm``) costs or saves end to end,
 which is the system-level version of the paper's per-op comparison.  The
 same seeding makes the scheduling knobs comparable: ``--prefix-caching``,
-``--prefill-budget``, and ``--priority-mix`` change *when* and *how* work
-is computed, never which tokens come out.
+``--prefill-budget`` and ``--max-blocks`` change *when* and *how* work is
+computed, never which tokens come out.
 
 Results land in ``BENCH_serve.json``::
 
@@ -25,9 +25,8 @@ Results land in ``BENCH_serve.json``::
     }
 
 ``metrics`` now includes the prefix-cache columns (``prefix_hit_rate``,
-``prefix_tokens_reused``, ``prefill_tokens_computed``), the preemption
-counters (``preempted_count``, ``preempted_ids``) and per-priority-class
-latency percentiles (``latency_by_priority``); ``pool`` includes the
+``prefix_tokens_reused``, ``prefill_tokens_computed``) and the preemption
+counters (``preempted_count``, ``preempted_ids``); ``pool`` includes the
 sharing counters (``blocks_adopted``, ``cow_forks``,
 ``prefix_blocks_cached``, ``prefix_evictions``).
 
@@ -86,8 +85,8 @@ _PASSTHROUGH_VARIANT_FMT = "fp16"
 DEFAULT_NORMALIZERS = ("baseline", "iterl2norm")
 
 #: The classic grid cells; the structured scenarios (``chat-multiturn``,
-#: ``agent-fanout``, ``priority-burst``) are opt-in via ``--scenarios`` so
-#: the default artifact stays comparable across revisions.
+#: ``agent-fanout``, ``agent-tree``, ``map-reduce``) are opt-in via
+#: ``--scenarios`` so the default artifact stays comparable across revisions.
 DEFAULT_SCENARIOS = ("steady", "bursty", "chat", "codegen")
 
 
@@ -155,12 +154,10 @@ def run_scenario(
     prefill_budget: int | None = None,
     max_blocks: int | None = None,
     block_size: int = 16,
-    priority_mix: str | None = None,
     backend: str = "reference",
     tier_blocks: int | None = None,
     tier_ratio: float | None = None,
     tier_fmt: str | None = None,
-    slo_aware: bool = False,
 ) -> tuple[dict, str]:
     """Serve one scenario under one normalizer; returns ``(rows, text)``.
 
@@ -169,16 +166,15 @@ def run_scenario(
     weights keep the job self-contained and cache-addressable.  ``policy``
     names the precision policy of the whole datapath (weights, activations,
     KV pool); the normalizer variant is layered on top of it.
-    ``prefix_caching`` / ``prefill_budget`` / ``max_blocks`` /
-    ``priority_mix`` configure the scheduling features (see
+    ``prefix_caching`` / ``prefill_budget`` / ``max_blocks`` configure
+    the scheduling features (see
     :class:`~repro.serve.engine.ServeEngine`); none of them changes the
     served tokens — the row's ``token_digest`` checksums the full output
     so artifacts can prove it.  ``backend``
     selects the execution backend (``"reference"`` or ``"compiled"``);
     like the scheduling knobs it changes timings only, never a token.
     ``tier_blocks`` / ``tier_ratio`` / ``tier_fmt`` arm the cold KV tier
-    and ``slo_aware`` the cost-model victim ranking (see
-    :class:`~repro.serve.engine.ServeEngine`) — also timing-only knobs:
+    (see :class:`~repro.serve.engine.ServeEngine`) — also timing-only knobs:
     promotion is restricted to byte-exact restores, so the digest proves
     tiering never changed a token.
     """
@@ -202,7 +198,6 @@ def run_scenario(
         vocab_size=config.vocab_size,
         seed=seed,
         rate_scale=rate_scale,
-        priority_mix=priority_mix,
     )
     engine = ServeEngine(
         model,
@@ -215,7 +210,6 @@ def run_scenario(
         tier_blocks=tier_blocks,
         tier_ratio=tier_ratio,
         tier_fmt=tier_fmt,
-        slo_aware=slo_aware,
     )
     report = engine.serve(workload)
 
@@ -230,12 +224,10 @@ def run_scenario(
         "prefix_caching": bool(prefix_caching),
         "prefill_budget": prefill_budget,
         "max_blocks": max_blocks,
-        "priority_mix": priority_mix,
         "backend": backend,
         "tier_blocks": tier_blocks,
         "tier_ratio": tier_ratio,
         "tier_fmt": tier_fmt,
-        "slo_aware": bool(slo_aware),
         "token_digest": _token_digest(report.completed),
         "metrics": report.metrics,
         "pool": report.pool_stats,
@@ -308,7 +300,7 @@ def jobs(
     """One engine job per (scenario, normalizer, policy, backend).
 
     Extra ``params`` (``prefix_caching``, ``prefill_budget``,
-    ``priority_mix``, ...) are forwarded into every cell — and into its
+    ``max_blocks``, ...) are forwarded into every cell — and into its
     cache key, so differently configured cells never collide.  ``policies``
     (when given) overrides the single ``policy`` with a sweep axis, and
     ``backends`` does the same for execution backends — the
@@ -318,8 +310,7 @@ def jobs(
     digest-stability enforcement) so ``backend_comparison`` ratios stop
     wobbling between runs.  ``tiers`` is the cold-KV-tier pairing axis:
     each entry is either ``None`` (untiered) or a dict of tier knobs
-    (``tier_blocks`` / ``tier_ratio`` / ``tier_fmt`` / ``slo_aware``)
-    merged into the cell — ``(None, {...})`` declares each cell twice so
+    (``tier_blocks`` / ``tier_ratio`` / ``tier_fmt``) merged into the cell — ``(None, {...})`` declares each cell twice so
     ``tier_comparison`` can prove digest equality against the evict-only
     twin and measure the tiering uplift.
     """
@@ -582,14 +573,12 @@ def run_bench(
     prefill_budget: int | None = None,
     max_blocks: int | None = None,
     block_size: int | None = None,
-    priority_mix: str | None = None,
     backend: str = "reference",
     policies=None,
     repeats: int = 1,
     tier_blocks: int | None = None,
     tier_ratio: float | None = None,
     tier_fmt: str | None = None,
-    slo_aware: bool = False,
 ) -> tuple[dict, str]:
     """Run the full scenario × normalizer grid and write ``out_path``.
 
@@ -598,7 +587,7 @@ def run_bench(
     (``no_cache`` then skips lookups but still stores fresh results, as in
     the experiment runner).  ``policy`` serves every cell under the named
     precision policy; ``prefix_caching`` / ``prefill_budget`` /
-    ``max_blocks`` / ``priority_mix`` apply the scheduling knobs to every
+    ``max_blocks`` / ``block_size`` apply the scheduling knobs to every
     cell (the normalizer column stays an orthogonal axis) — a bounded
     ``max_blocks`` is what arms preemption, so the ``preempt`` column is
     only ever nonzero with it.  A non-reference ``backend`` pairs every cell with its
@@ -635,8 +624,6 @@ def run_bench(
         knobs["max_blocks"] = int(max_blocks)
     if block_size is not None:
         knobs["block_size"] = int(block_size)
-    if priority_mix is not None:
-        knobs["priority_mix"] = priority_mix
     if backend == "reference":
         backends = ("reference",)
     else:
@@ -646,7 +633,7 @@ def run_bench(
     if tier_blocks or tier_ratio:
         # Paired evict-only twin per cell: tier_comparison proves digest
         # equality and measures the tiering uplift under identical traffic.
-        tier = {"slo_aware": bool(slo_aware)}
+        tier = {}
         if tier_blocks is not None:
             tier["tier_blocks"] = int(tier_blocks)
         if tier_ratio is not None:
@@ -683,14 +670,12 @@ def run_bench(
             "prefix_caching": bool(prefix_caching),
             "prefill_budget": prefill_budget,
             "max_blocks": max_blocks,
-            "priority_mix": priority_mix,
             "backend": backend,
             "policies": list(policies) if policies else None,
             "repeats": int(repeats),
             "tier_blocks": tier_blocks,
             "tier_ratio": tier_ratio,
             "tier_fmt": tier_fmt,
-            "slo_aware": bool(slo_aware),
             "model": results[0]["model"] if results else None,
             "max_batch_size": results[0]["max_batch_size"] if results else None,
         },

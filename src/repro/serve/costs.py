@@ -23,10 +23,6 @@ For any realistic shape the per-token KV slice is orders of magnitude
 smaller than the weights, so promotion wins — the model exists to make
 that judgement explicit, and to flip it for degenerate configurations
 (tiny models, huge block sizes, a glacial tier interface).
-
-The scheduler reuses the same numbers for SLO-aware preemption: when a
-victim must be chosen, the cheapest one to preempt is the one whose
-committed tokens cost the least to recompute.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ loop:
   are prefilled per iteration across the whole batch, so a long prompt
   streams in over several steps interleaved with decode rows instead of
   monopolizing an iteration.
-* **Priority + preemption** (``max_blocks=M``): requests carry priority
-  classes; when a bounded pool runs dry the scheduler preempts victims
-  (lowest class, newest first), releasing their blocks and re-queueing
-  them for a deterministic re-run.
+* **Preemption** (``max_blocks=M``): when a bounded pool runs dry the
+  scheduler preempts the most recently queued requests, releasing their
+  blocks and re-queueing them ahead of later arrivals for a
+  deterministic re-run.
 
 **Exactness.**  Per request, the engine performs a sequence of chunked
 cached forwards — and the chunked cached path is bit-identical to the
@@ -115,10 +115,6 @@ class ServeEngine:
         ``kv_cache_fmt`` (lossless, so hits promote).  An explicitly
         different format makes the tier lossy: hits are refused and
         re-prefilled.  Served tokens are bit-identical either way.
-    slo_aware:
-        Give the scheduler the tier cost model so preemption victims are
-        priced by recompute time (within the lowest priority class)
-        instead of the classic newest-first order.  Off by default.
     timer:
         Monotonic-seconds callable used to measure step durations
         (default :func:`time.perf_counter`); inject a fake for
@@ -144,7 +140,6 @@ class ServeEngine:
         tier_blocks: int | None = None,
         tier_ratio: float | None = None,
         tier_fmt: str | None = None,
-        slo_aware: bool = False,
     ) -> None:
         model.eval()
         self.model = model
@@ -164,7 +159,7 @@ class ServeEngine:
                 raise ValueError("tier_ratio requires max_blocks")
             tier_blocks = round(max_blocks * float(tier_ratio))
         cost_model = None
-        if tier_blocks or slo_aware:
+        if tier_blocks:
             from repro.serve.costs import TierCostModel
 
             cost_model = TierCostModel.for_model(model, tier_fmt=tier_fmt)
@@ -183,7 +178,6 @@ class ServeEngine:
             max_batch_size=max_batch_size,
             prefill_budget=prefill_budget,
             max_position=model.config.max_position,
-            cost_model=cost_model if slo_aware else None,
         )
         self.timer = timer or time.perf_counter
         self._recorder: MetricsRecorder | None = None
@@ -216,6 +210,11 @@ class ServeEngine:
         raise :class:`~repro.serve.kv_pool.PoolExhaustedError` out of the
         step and stop every request in the run.
         """
+        self._check(request)
+        self.scheduler.enqueue(request)
+
+    def _check(self, request: Request) -> None:
+        """Raise :class:`ValueError` for a request :meth:`submit` refuses."""
         prompt = request.prompt_ids
         vocab_size = self.model.config.vocab_size
         if prompt.min() < 0 or prompt.max() >= vocab_size:
@@ -236,7 +235,6 @@ class ServeEngine:
                 f"request {request.request_id!r}: needs {needed} KV blocks, "
                 f"more than the pool's max_blocks={max_blocks}"
             )
-        self.scheduler.enqueue(request)
 
     def _footprint_blocks(self, request: Request) -> int:
         """Most pool blocks the request can hold at once, in the worst case.
@@ -341,8 +339,16 @@ class ServeEngine:
 
     # -- the serve loop ------------------------------------------------------------
     def serve(self, requests: list[Request]) -> ServeReport:
-        """Serve a workload to completion and return tokens plus metrics."""
+        """Serve a workload to completion and return tokens plus metrics.
+
+        Every request passes :meth:`submit`'s checks before the first
+        step, so a workload holding a request ``submit`` would refuse
+        raises :class:`ValueError` up front instead of after its earlier
+        arrivals were served.
+        """
         pending = sorted(requests, key=lambda r: r.arrival_time)
+        for request in pending:
+            self._check(request)
         self.begin()
         now = 0.0
         cursor = 0
@@ -351,7 +357,7 @@ class ServeEngine:
             # Deliver arrivals whose timestamp has passed; when completely
             # idle, jump the virtual clock to the next arrival.
             while cursor < len(pending) and pending[cursor].arrival_time <= now:
-                self.submit(pending[cursor])
+                self.scheduler.enqueue(pending[cursor])
                 cursor += 1
             if not self.scheduler.has_work:
                 now = pending[cursor].arrival_time
@@ -442,7 +448,6 @@ class ServeEngine:
             admitted_time=state.admitted_time,
             first_token_time=state.token_times[0],
             finish_time=state.token_times[-1],
-            priority=request.priority,
             prefix_tokens_reused=state.adopted_tokens,
             preemptions=self.scheduler.preemptions_of(request.request_id),
         )

@@ -14,8 +14,7 @@ per-request completions, prefix-cache adoptions, and preemption events;
 :meth:`MetricsRecorder.summary` reduces them to the flat JSON-friendly
 dictionary ``BENCH_serve.json`` stores, including the prefix hit rate
 (adopted prompt positions over all prompt positions), prefill tokens
-actually computed, preemption counts and per-priority-class latency
-percentiles.
+actually computed and preemption counts.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ def _distribution(values) -> dict[str, float]:
     """Mean plus the standard percentiles of a sample.
 
     An empty sample — e.g. ``inter_token_latency_s`` when no request ever
-    produced a second token, or a priority class that completed nothing —
-    reports ``0.0`` everywhere, with ``count == 0`` so consumers can tell
-    "no data" from "instantaneous".  This keeps :meth:`MetricsRecorder.summary`
+    produced a second token — reports ``0.0`` everywhere, with
+    ``count == 0`` so consumers can tell "no data" from "instantaneous".  This keeps :meth:`MetricsRecorder.summary`
     NaN-free by construction: ``NaN`` is not valid JSON and used to leak
     into the ``BENCH_serve*.json`` artifacts on pure-prefill runs.
     """
@@ -118,20 +116,6 @@ class MetricsRecorder:
             self._gaps.extend(np.diff(times).tolist())
 
     # -- reduction -----------------------------------------------------------------
-    def _by_priority(self) -> dict[str, dict]:
-        """Latency distributions per priority class (see the ISSUE metrics)."""
-        classes: dict[int, list[CompletedRequest]] = {}
-        for completed in self.completed:
-            classes.setdefault(completed.priority, []).append(completed)
-        return {
-            str(priority): {
-                "requests": len(group),
-                "ttft_s": _distribution(c.ttft for c in group),
-                "queue_wait_s": _distribution(c.queue_wait for c in group),
-            }
-            for priority, group in sorted(classes.items())
-        }
-
     def summary(self, max_batch_size: int | None = None) -> dict:
         """Flat metrics dictionary (JSON-serializable)."""
         total_tokens = sum(c.generated for c in self.completed)
@@ -182,7 +166,6 @@ class MetricsRecorder:
             "preempted_count": len(self._preemptions),
             "preempted_ids": sorted({rid for rid, _ in self._preemptions}),
             "preemption_times_s": [t for _, t in self._preemptions],
-            "latency_by_priority": self._by_priority(),
         }
         if max_batch_size:
             summary["batch_occupancy"]["utilization"] = (

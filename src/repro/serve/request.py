@@ -1,14 +1,13 @@
 """Request/response types and per-request runtime state for the server.
 
 A :class:`Request` is what a client submits: a prompt, decode limits,
-sampling parameters, a priority class, and an explicit ``seed``.  Each
-request gets its own :class:`numpy.random.Generator` built from that seed,
-so its sampled tokens are a pure function of (model, prompt, parameters,
-seed) — never of which other requests happened to share a batch, or of
-admission timing.  Decoding the same request through
-:func:`repro.nn.generation.generate` with
-``rng=np.random.default_rng(seed)`` reproduces the served tokens exactly
-(bit-exactly under greedy decoding; the test suite asserts both).
+sampling parameters, and an explicit ``seed``.  Each request gets its own
+:class:`numpy.random.Generator` built from that seed, so its sampled
+tokens are a pure function of (model, prompt, parameters, seed) — never of
+which other requests happened to share a batch, or of admission timing.
+Decoding the same request through :func:`repro.nn.generation.generate`
+with ``rng=np.random.default_rng(seed)`` reproduces the served tokens
+exactly (bit-exactly under greedy decoding; the test suite asserts both).
 
 The same purity is what makes **preemption** legal: a preempted request's
 state is simply discarded and the request re-queued — re-running it from
@@ -47,10 +46,6 @@ class Request:
     arrival_time:
         Seconds (from the workload epoch) at which the request reaches the
         server queue.
-    priority:
-        Scheduling class; **larger values are more urgent**.  Admission
-        drains higher classes first (FIFO within a class), and under pool
-        exhaustion the scheduler preempts from the lowest class upward.
     session_id:
         Optional conversation/session handle shared by related requests
         (the turns of one chat, the members of one fan-out group).  The
@@ -66,7 +61,6 @@ class Request:
     stop_tokens: tuple[int, ...] = ()
     seed: int = 0
     arrival_time: float = 0.0
-    priority: int = 0
     session_id: str | None = None
 
     def __post_init__(self) -> None:
@@ -85,7 +79,6 @@ class Request:
         if self.arrival_time < 0:
             raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
         object.__setattr__(self, "stop_tokens", tuple(int(t) for t in self.stop_tokens))
-        object.__setattr__(self, "priority", int(self.priority))
 
 
 @dataclass
@@ -97,8 +90,8 @@ class RequestState:
     them are already in the KV cache (cached-prefix adoption plus computed
     chunks), so chunked prefill resumes where the last chunk stopped.
     ``queue_seq`` is the request's original admission-queue sequence
-    number: a preempted request re-enters its priority class *in front of*
-    later arrivals because it keeps this number.
+    number: a preempted request re-enters the queue *in front of* later
+    arrivals because it keeps this number.
     """
 
     request: Request
@@ -149,7 +142,6 @@ class CompletedRequest:
     admitted_time: float
     first_token_time: float
     finish_time: float
-    priority: int = 0
     prefix_tokens_reused: int = 0  # prompt positions adopted from the prefix cache
     preemptions: int = 0  # times this request was preempted and re-run
 

@@ -1,14 +1,15 @@
-"""Policy-driven iteration scheduling: priorities, prefill budget, preemption.
+"""Iteration scheduling: FIFO admission, prefill budget, preemption.
 
 The scheduler owns the admission bookkeeping and nothing else — no model
-calls, no sampling.  It maintains a priority queue of pending requests and
-a fixed number of *decode slots*.  Every engine step:
+calls, no sampling.  It maintains a FIFO queue of pending requests and a
+fixed number of *decode slots*.  One order rules every decision: queue
+seniority, the ``queue_seq`` a request receives when it is enqueued.
+Every engine step:
 
 1. finished sequences are retired (:meth:`Scheduler.retire`), freeing
    their slot and their KV blocks immediately;
 2. queued requests are admitted into free slots (:meth:`Scheduler.admit`)
-   — higher :attr:`~repro.serve.request.Request.priority` classes first,
-   FIFO within a class — each receiving a fresh
+   in queue order, each receiving a fresh
    :class:`~repro.serve.kv_pool.SequenceKV` from the pool;
 3. :meth:`Scheduler.plan` lays out the iteration as a :class:`StepPlan`:
    every established request contributes one decode token, and requests
@@ -20,26 +21,30 @@ a fixed number of *decode slots*.  Every engine step:
    changes tokens);
 4. :meth:`Scheduler.reserve` pre-checks the plan's worst-case block demand
    against the pool.  Under exhaustion (a bounded pool that cannot grow
-   or evict further) it **preempts** victims — lowest priority class
-   first, most recently admitted within a class — releasing their blocks
-   and re-queueing the request at the front of its class.  Preemption is
+   or evict further) it **preempts** victims — the most recently queued
+   first — releasing their blocks and re-queueing each request under its
+   original ``queue_seq``, ahead of every later arrival.  Preemption is
    lossless: decode is bit-reproducible from (prompt, seed), so the
    re-run emits byte-identical output.
 
-This extends the Orca-style iteration-level scheduling of the original
-FIFO scheduler; ``ContinuousBatchScheduler`` remains as an alias whose
-defaults (no budget, unbounded pool) reproduce the old behaviour exactly.
+With no budget and an unbounded pool this is the Orca-style
+iteration-level FIFO scheduler.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from repro.serve.kv_pool import BlockKVPool, PoolExhaustedError
 from repro.serve.request import Request, RequestState
+
+#: Queue seniority, the one order of admission, prefill budget and
+#: preemption: a lower ``queue_seq`` is senior, hence protected.
+_QUEUE_ORDER = attrgetter("queue_seq")
 
 
 @dataclass
@@ -69,7 +74,7 @@ class StepPlan:
 
 
 class Scheduler:
-    """Priority admission, chunked-prefill budgeting, and preemption.
+    """FIFO admission, chunked-prefill budgeting, and preemption.
 
     Parameters
     ----------
@@ -86,16 +91,6 @@ class Scheduler:
         The model's context window; prompts are trimmed to their trailing
         ``max_position`` tokens at admission (``None`` keeps whole
         prompts — only sensible in unit tests).
-    preemption:
-        Allow :meth:`reserve` to preempt under pool exhaustion.  With
-        ``False`` an exhausted bounded pool raises instead.
-    cost_model:
-        Optional :class:`~repro.serve.costs.TierCostModel` enabling
-        SLO-aware preemption: within the lowest priority class, the
-        victim whose committed-but-unreusable tokens are cheapest to
-        recompute is preempted first (least recompute time wasted, hence
-        least added latency when it is re-admitted).  ``None`` keeps the
-        classic newest-within-class order.
     """
 
     def __init__(
@@ -104,8 +99,6 @@ class Scheduler:
         max_batch_size: int = 8,
         prefill_budget: int | None = None,
         max_position: int | None = None,
-        preemption: bool = True,
-        cost_model=None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -115,12 +108,9 @@ class Scheduler:
         self.max_batch_size = int(max_batch_size)
         self.prefill_budget = None if prefill_budget is None else int(prefill_budget)
         self.max_position = None if max_position is None else int(max_position)
-        self.preemption = bool(preemption)
-        self.cost_model = cost_model
-        #: (-priority, queue_seq, Request) min-heap: highest class first,
-        #: lowest sequence number (earliest arrival / preempted re-entry)
-        #: first within a class.
-        self._heap: list[tuple[int, int, Request]] = []
+        #: (queue_seq, Request) min-heap: lowest sequence number (earliest
+        #: arrival, or a preempted request's re-entry) first.
+        self._heap: list[tuple[int, Request]] = []
         self._next_seq = 0
         self._slots: list[RequestState | None] = [None] * self.max_batch_size
         self.preemption_count = 0
@@ -141,8 +131,8 @@ class Scheduler:
         return bool(self._heap) or self.active_count > 0
 
     def enqueue(self, request: Request) -> None:
-        """Add an arrived request to its priority class (FIFO within it)."""
-        heapq.heappush(self._heap, (-request.priority, self._next_seq, request))
+        """Add an arrived request to the back of the queue."""
+        heapq.heappush(self._heap, (self._next_seq, request))
         self._next_seq += 1
 
     def preemptions_of(self, request_id: str) -> int:
@@ -165,7 +155,7 @@ class Scheduler:
         for index, slot in enumerate(self._slots):
             if slot is not None or not self._heap:
                 continue
-            _, queue_seq, request = heapq.heappop(self._heap)
+            queue_seq, request = heapq.heappop(self._heap)
             window = request.prompt_ids
             if self.max_position is not None:
                 window = window[-self.max_position :]
@@ -182,27 +172,21 @@ class Scheduler:
             admitted.append(state)
         return admitted
 
-    @staticmethod
-    def _rank(state: RequestState) -> tuple[int, int]:
-        """Protection order: higher priority class, then earlier queue entry."""
-        return (state.request.priority, -state.queue_seq)
-
     # -- iteration planning --------------------------------------------------------
     def plan(self) -> StepPlan:
         """Lay out one iteration: decode rows plus budgeted prefill chunks.
 
-        The prefill budget is granted in *rank* order (priority class,
-        then queue seniority) — the same order preemption protects — so
-        the best-ranked active state is always in the plan: either its
-        decode row, or the first prefill chunk the budget funds.  That is
-        what makes the reserve()/preemption loop live: the state it
-        refuses to preempt is guaranteed to be one that actually runs
-        this iteration.  Lower-ranked prefills stalled by the budget
-        merely wait a step; decode rows always run.
+        The prefill budget is granted in queue order — the same order
+        preemption protects — so the most senior active state is always
+        in the plan: either its decode row, or the first prefill chunk the
+        budget funds.  That is what makes the reserve()/preemption loop
+        live: the state it refuses to preempt is guaranteed to be one that
+        actually runs this iteration.  Junior prefills stalled by the
+        budget merely wait a step; decode rows always run.
         """
         plan = StepPlan()
         budget = self.prefill_budget
-        for state in sorted(self.active(), key=self._rank, reverse=True):
+        for state in sorted(self.active(), key=_QUEUE_ORDER):
             if state.slid:
                 plan.slid.append(state)
             elif state.needs_prefill:
@@ -234,9 +218,9 @@ class Scheduler:
     def reserve(self, plan: StepPlan) -> list[RequestState]:
         """Preempt until the pool can cover the plan; returns the victims.
 
-        The best-ranked state *in the plan* is never preempted — and
-        because :meth:`plan` grants the prefill budget in the same rank
-        order, that protected state is also the best-ranked active state,
+        The most senior state *in the plan* is never preempted — and
+        because :meth:`plan` grants the prefill budget in queue order,
+        that protected state is also the most senior active state,
         so every iteration advances it: no preemption livelock.  If even
         that lone state cannot fit, :class:`PoolExhaustedError`
         propagates.  That is a backstop: ``ServeEngine.submit`` rejects a
@@ -252,10 +236,6 @@ class Scheduler:
             )
             if self.pool.can_provide(needed):
                 return victims
-            if not self.preemption:
-                raise PoolExhaustedError(
-                    f"pool cannot provide {needed} blocks and preemption is disabled"
-                )
             victim = self._pick_victim(plan)
             if victim is None:
                 raise PoolExhaustedError(
@@ -266,36 +246,23 @@ class Scheduler:
             victims.append(victim)
 
     def _pick_victim(self, plan: StepPlan) -> RequestState | None:
-        """Lowest class, newest within it; never the plan's best state.
+        """The most recently queued state; never the plan's most senior.
 
-        The protected state must be one the plan actually runs — a merely
-        *active* best state could be budget-stalled, and protecting it
-        while preempting every planned row would spin forever without
-        progress (the livelock the scheduler regression tests pin).
+        The protected state must be one the plan actually runs: protecting
+        a state the plan does not run while preempting every planned row
+        would spin forever without progress (the livelock the scheduler
+        regression tests pin).
         """
-        candidates = [state for state in self.active() if state.kv is not None]
         planned = [state for state, _ in plan.prefill] + list(plan.decode)
-        protected = max(planned, key=self._rank) if planned else None
-        victims = [state for state in candidates if state is not protected]
+        protected = min(planned, key=_QUEUE_ORDER) if planned else None
+        victims = [
+            state
+            for state in self.active()
+            if state.kv is not None and state is not protected
+        ]
         if not victims:
             return None
-        if self.cost_model is None:
-            return min(victims, key=self._rank)
-        # SLO-aware pricing: the priority ladder still rules (never evict
-        # a higher class while a lower one stands), but within the lowest
-        # class the macro cost model picks the victim whose committed,
-        # non-readoptable tokens are cheapest to recompute — the smallest
-        # latency debt a re-admission can incur.  Ties fall back to the
-        # classic newest-first order, keeping the choice deterministic.
-        lowest = min(state.request.priority for state in victims)
-        in_class = [s for s in victims if s.request.priority == lowest]
-
-        def waste_us(state: RequestState) -> float:
-            committed = state.kv.seq_len
-            reusable = min(state.kv.adopted_tokens, committed)
-            return self.cost_model.recompute_us(committed - reusable)
-
-        return min(in_class, key=lambda s: (waste_us(s), -s.queue_seq))
+        return max(victims, key=_QUEUE_ORDER)
 
     def _preempt(self, victim: RequestState, plan: StepPlan) -> None:
         """Release the victim's blocks and re-queue it for deterministic re-run."""
@@ -307,10 +274,8 @@ class Scheduler:
         victim.kv = None
         plan.drop(victim)
         # Keeping the original queue_seq re-inserts the request ahead of
-        # every later arrival in its priority class.
-        heapq.heappush(
-            self._heap, (-victim.request.priority, victim.queue_seq, victim.request)
-        )
+        # every later arrival.
+        heapq.heappush(self._heap, (victim.queue_seq, victim.request))
         self.preemption_count += 1
         request_id = victim.request.request_id
         self._preempted_by_id[request_id] = self._preempted_by_id.get(request_id, 0) + 1
@@ -328,7 +293,3 @@ class Scheduler:
             state.kv.release()
             state.kv = None
 
-
-#: Backwards-compatible name: the default-configured Scheduler reproduces
-#: the original FIFO continuous-batching behaviour (no budget, no bound).
-ContinuousBatchScheduler = Scheduler

@@ -15,8 +15,8 @@ traffic shape:
 * ``codegen`` — short prompts, long decodes (completion-style): stresses
   decode-slot occupancy and the sliding-window tail.
 
-Three *structured* scenarios exercise the shared-prefix, chunked-prefill,
-and priority scheduling features:
+Two *structured* scenarios exercise the shared-prefix and chunked-prefill
+scheduling features:
 
 * ``chat-multiturn`` — conversations over a shared system prompt; each
   turn's prompt extends the previous turn's, and turns arrive clustered
@@ -25,15 +25,6 @@ and priority scheduling features:
 * ``agent-fanout`` — groups of requests sharing one long context plus a
   short per-agent suffix, arriving in a tight burst — the fan-out pattern
   of parallel agent calls, and the best case for block sharing.
-* ``priority-burst`` — a bursty mixed-priority stream (interactive /
-  standard / batch classes) for the priority-admission and preemption
-  metrics.
-* ``summarize-copy`` — copy-heavy greedy requests: a ``copy_rate``
-  fraction of every prompt is a short motif tiled over and over (the
-  shape of summarization / quote-heavy chat follow-ups), and decodes are
-  long enough for greedy decoding to settle into its repetitive tail.
-  Both make the continuation predictable from the request's own token
-  stream.
 
 Two *application-DAG* scenarios stress the tiered KV pool: whole waves
 of requests share deep prefixes that go cold between waves and are
@@ -54,8 +45,8 @@ re-demanded wholesale when the next stage arrives:
   path's best case.
 
 Workload generation is fully seeded: one :class:`numpy.random.SeedSequence`
-drives arrivals, lengths, prompt contents, priorities, *and* each
-request's private sampling seed, so a scenario expands to the identical
+drives arrivals, lengths, prompt contents *and* each request's private
+sampling seed, so a scenario expands to the identical
 request list on every run — which is what lets the benchmark compare
 normalizer variants (or prefix-caching on vs off) under literally the same
 traffic.
@@ -89,18 +80,13 @@ class Scenario:
     ``shared_prefix_len`` tokens, each turn's prompt extending the last by
     a ``prompt_len`` user message; ``"fanout"`` builds groups of
     ``fanout`` requests sharing one ``shared_prefix_len`` context plus a
-    private ``prompt_len`` suffix; ``"copy"`` builds prompts whose
-    ``copy_rate`` fraction is a ``shared_prefix_len``-long motif tiled
-    repeatedly after a fresh ``prompt_len`` head (the copy-heavy shape of
-    summarization); ``"agent-tree"`` builds call
+    private ``prompt_len`` suffix; ``"agent-tree"`` builds call
     trees of depth ``num_turns`` and branching ``fanout`` under one
     workload-wide ``shared_prefix_len`` system prompt, every node
     extending its parent's full prompt with a private ``prompt_len``
     suffix; ``"map-reduce"`` builds groups of ``fanout`` mappers sharing
     the system prompt plus a per-group job header, closed by a reducer
     whose prompt fans the mappers' shards back in.
-    ``priority_mix`` assigns each request a priority class drawn from
-    the given ``(priority, weight)`` pairs.
     """
 
     name: str
@@ -115,14 +101,12 @@ class Scenario:
     shared_prefix_len: tuple[int, int] = (0, 0)
     num_turns: int = 1
     fanout: int = 1
-    copy_rate: float = 0.0
-    priority_mix: tuple[tuple[int, float], ...] = ((0, 1.0),)
 
     def __post_init__(self) -> None:
         for lo, hi in (self.prompt_len, self.max_new):
             if lo < 1 or hi < lo:
                 raise ValueError(f"bad range ({lo}, {hi}) in scenario {self.name!r}")
-        known = ("independent", "multiturn", "fanout", "copy", "agent-tree", "map-reduce")
+        known = ("independent", "multiturn", "fanout", "agent-tree", "map-reduce")
         if self.structure not in known:
             raise ValueError(f"unknown structure {self.structure!r}")
         lo, hi = self.shared_prefix_len
@@ -130,10 +114,6 @@ class Scenario:
             raise ValueError(f"bad shared_prefix_len ({lo}, {hi})")
         if self.num_turns < 1 or self.fanout < 1:
             raise ValueError("num_turns and fanout must be >= 1")
-        if not 0.0 <= self.copy_rate < 1.0:
-            raise ValueError(f"copy_rate must be in [0, 1), got {self.copy_rate}")
-        if not self.priority_mix or any(w <= 0 for _, w in self.priority_mix):
-            raise ValueError("priority_mix weights must be positive")
 
 
 #: The benchmark scenario mixes.  The classic four (kept byte-identical to
@@ -205,30 +185,6 @@ SCENARIOS: dict[str, Scenario] = {
         shared_prefix_len=(16, 22),
         fanout=6,
     ),
-    "priority-burst": Scenario(
-        name="priority-burst",
-        arrival="bursty",
-        rate=200.0,
-        prompt_len=(4, 10),
-        max_new=(6, 12),
-        temperature=0.8,
-        top_k=20,
-        description="mixed interactive/standard/batch burst",
-        priority_mix=((2, 0.2), (1, 0.3), (0, 0.5)),
-    ),
-    "summarize-copy": Scenario(
-        name="summarize-copy",
-        arrival="poisson",
-        rate=100.0,
-        prompt_len=(3, 5),  # fresh head before the tiled motif
-        max_new=(14, 22),
-        temperature=0.0,
-        top_k=None,
-        description="copy-heavy greedy requests over a tiled prompt motif",
-        structure="copy",
-        shared_prefix_len=(2, 4),  # motif length
-        copy_rate=0.6,
-    ),
     "agent-tree": Scenario(
         name="agent-tree",
         arrival="wave",
@@ -287,17 +243,6 @@ def get_scenario(name: str) -> Scenario:
     return SCENARIOS[name]
 
 
-def parse_priority_mix(spec: str) -> tuple[tuple[int, float], ...]:
-    """Parse a ``"priority:weight,..."`` CLI string (e.g. ``"0:0.5,2:0.5"``)."""
-    pairs: list[tuple[int, float]] = []
-    for item in spec.split(","):
-        priority, _, weight = item.partition(":")
-        pairs.append((int(priority.strip()), float(weight or 1.0)))
-    if not pairs:
-        raise ValueError(f"empty priority mix {spec!r}")
-    return tuple(pairs)
-
-
 def _wave_kwargs(scenario: Scenario, num_requests: int) -> dict:
     """Arrival-wave sizing for ``wave`` scenarios: one wave per DAG stage.
 
@@ -319,19 +264,6 @@ def _wave_kwargs(scenario: Scenario, num_requests: int) -> dict:
     return {"wave_size": size}
 
 
-def _draw_priority(scenario: Scenario, rng: np.random.Generator) -> int:
-    """Sample a priority class; skips the RNG entirely for the default mix.
-
-    Skipping keeps the classic scenarios' random streams — and therefore
-    their whole workloads — byte-identical to pre-priority versions.
-    """
-    if scenario.priority_mix == ((0, 1.0),):
-        return 0
-    priorities = np.asarray([p for p, _ in scenario.priority_mix])
-    weights = np.asarray([w for _, w in scenario.priority_mix], dtype=np.float64)
-    return int(rng.choice(priorities, p=weights / weights.sum()))
-
-
 def _draw_prompt(
     rng: np.random.Generator, length: int, vocab_size: int, eos: int
 ) -> np.ndarray:
@@ -347,7 +279,6 @@ def generate_workload(
     seed: int = 0,
     rate_scale: float = 1.0,
     eos_token_id: int | None = None,
-    priority_mix: tuple[tuple[int, float], ...] | str | None = None,
     sessions: int | None = None,
 ) -> list[Request]:
     """Expand a scenario into a concrete, fully seeded request list.
@@ -364,17 +295,13 @@ def generate_workload(
         Model vocabulary size; prompt tokens are drawn from
         ``[1, vocab_size)`` excluding the EOS id.
     seed:
-        Master seed; everything (arrivals, lengths, prompts, priorities,
-        per-request sampling seeds) derives from it.
+        Master seed; everything (arrivals, lengths, prompts, per-request
+        sampling seeds) derives from it.
     rate_scale:
         Multiplies the scenario's arrival rate (``> 1`` compresses
         arrivals, loading the queue harder).
     eos_token_id:
         Stop token given to every request (default ``vocab_size - 1``).
-    priority_mix:
-        Override the scenario's priority mix — ``(priority, weight)``
-        pairs or a ``"0:0.5,2:0.5"`` CLI string (the ``--priority-mix``
-        flag lands here).
     sessions:
         Size the workload in *sessions* instead of raw requests: a
         ``"multiturn"`` scenario expands to ``sessions × num_turns``
@@ -394,15 +321,6 @@ def generate_workload(
         num_requests = sessions * group_size(scenario)
     if num_requests is None:
         raise ValueError("one of num_requests or sessions is required")
-    if priority_mix is not None:
-        if isinstance(priority_mix, str):
-            priority_mix = parse_priority_mix(priority_mix)
-        scenario = Scenario(
-            **{
-                **scenario.__dict__,
-                "priority_mix": tuple((int(p), float(w)) for p, w in priority_mix),
-            }
-        )
     if num_requests < 1:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     if vocab_size < 4:
@@ -431,8 +349,6 @@ def generate_workload(
         prompts = _multiturn_prompts(scenario, num_requests, vocab_size, eos, rng)
     elif scenario.structure == "fanout":
         prompts = _fanout_prompts(scenario, num_requests, vocab_size, eos, rng)
-    elif scenario.structure == "copy":
-        prompts = _copy_prompts(scenario, num_requests, vocab_size, eos, rng)
     elif scenario.structure == "agent-tree":
         prompts = _agent_tree_prompts(scenario, num_requests, vocab_size, eos, rng)
     elif scenario.structure == "map-reduce":
@@ -463,7 +379,6 @@ def generate_workload(
                 stop_tokens=(eos,),
                 seed=int(request_seeds[i]),
                 arrival_time=float(arrivals[i]),
-                priority=_draw_priority(scenario, rng),
                 session_id=session_id,
             )
         )
@@ -503,45 +418,6 @@ def _multiturn_prompts(
         history = np.concatenate([history, user])
         session = f"{scenario.name}-c{conversation:03d}"
         out.append((f"{session}t{turn}", history.copy(), session))
-    return out
-
-
-def _copy_prompts(
-    scenario: Scenario,
-    num_requests: int,
-    vocab_size: int,
-    eos: int,
-    rng: np.random.Generator,
-) -> list[tuple[str, np.ndarray, str | None]]:
-    """Copy-heavy prompts: a fresh head followed by a tiled motif.
-
-    A ``copy_rate`` fraction of each prompt is the same short motif
-    repeated back to back, so the prompt's trailing tokens recur earlier
-    in the prompt with a known continuation.
-    """
-    out: list[tuple[str, np.ndarray]] = []
-    rate = scenario.copy_rate
-    for i in range(num_requests):
-        head_len = int(
-            rng.integers(scenario.prompt_len[0], scenario.prompt_len[1] + 1)
-        )
-        head = _draw_prompt(rng, head_len, vocab_size, eos)
-        parts = [head]
-        if rate > 0:
-            motif_len = max(
-                int(
-                    rng.integers(
-                        scenario.shared_prefix_len[0], scenario.shared_prefix_len[1] + 1
-                    )
-                ),
-                1,
-            )
-            motif = _draw_prompt(rng, motif_len, vocab_size, eos)
-            # copied/(head+copied) == copy_rate, at motif granularity.
-            copied_len = int(round(head_len * rate / (1.0 - rate)))
-            repeats = max(-(-copied_len // motif_len), 2)  # >= 2 full motifs
-            parts.append(np.tile(motif, repeats))
-        out.append((f"{scenario.name}-{i:04d}", np.concatenate(parts), None))
     return out
 
 

@@ -36,6 +36,31 @@ class TestFunctionalEquivalence:
         module = IterL2Norm(d, IterL2NormConfig(num_steps=5, fmt=paper_format))
         np.testing.assert_array_equal(macro.normalize(x).output, module(x))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [64, 128, 256, 1024])
+    @pytest.mark.parametrize(
+        "fmt, sigma", [("fp32", 1e19), ("fp16", 100.0), ("bf16", 1e19)]
+    )
+    def test_overflowed_norm_matches_module_without_warning(self, fmt, sigma, d):
+        """Every input fits the format but its squared norm rounds to inf.
+
+        The iteration then runs into inf - inf; both paths return the
+        same all-NaN row, and neither raises a NumPy RuntimeWarning.
+        """
+        x = np.random.default_rng(d).normal(0.0, sigma, size=d)
+        macro = IterL2NormMacro(MacroConfig(fmt=fmt, num_steps=5)).normalize(x)
+        module = IterL2Norm(d, IterL2NormConfig(num_steps=5, fmt=fmt))(x)
+        assert np.isnan(module).all()
+        assert macro.output.tobytes() == module.tobytes()
+
+    @pytest.mark.parametrize("d", [64, 128, 256, 1024])
+    @pytest.mark.parametrize("fmt", ["fp32", "fp16", "bf16"])
+    def test_matches_module_bitexactly_across_widths(self, fmt, d):
+        x = np.random.default_rng(d).normal(0.0, 1.0, size=d)
+        macro = IterL2NormMacro(MacroConfig(fmt=fmt, num_steps=5)).normalize(x)
+        module = IterL2Norm(d, IterL2NormConfig(num_steps=5, fmt=fmt))(x)
+        assert macro.output.tobytes() == module.tobytes()
+
     def test_with_affine_parameters(self, rng):
         d = 256
         x = rng.uniform(-1, 1, size=d)

@@ -112,18 +112,10 @@ class TestSchedulingKnobs:
         assert rows["prefill_budget"] == 4
         assert rows["metrics"]["prefill_tokens_computed"] > 0
 
-    def test_priority_mix_threads_through(self):
-        rows, _ = run_scenario(
-            scenario="steady", normalizer="baseline", quick=True,
-            num_requests=8, seed=0, priority_mix="1:0.5,0:0.5",
-        )
-        assert rows["priority_mix"] == "1:0.5,0:0.5"
-        assert set(rows["metrics"]["latency_by_priority"]) <= {"0", "1"}
-
     def test_max_blocks_arms_preemption(self):
         """A bounded pool is reachable from the bench (and the CLI flag)."""
         rows, _ = run_scenario(
-            scenario="priority-burst", normalizer="baseline", quick=True,
+            scenario="bursty", normalizer="baseline", quick=True,
             num_requests=10, seed=0, max_batch_size=6, max_blocks=8,
             block_size=4,
         )
@@ -162,26 +154,26 @@ class TestJobs:
         assert len(job.config_hash("v0")) == 64
 
 
-class TestCopyScenario:
-    def test_copy_cell_rows_and_text(self):
+class TestGreedyDAGCell:
+    def test_dag_cell_rows_and_text(self):
         rows, text = run_scenario(
-            scenario="summarize-copy", normalizer="baseline", quick=True,
+            scenario="map-reduce", normalizer="baseline", quick=True,
             num_requests=6, seed=0,
         )
-        assert rows["scenario"] == "summarize-copy"
+        assert rows["scenario"] == "map-reduce"
         assert rows["metrics"]["requests_completed"] == 6
         assert rows["metrics"]["tokens_generated"] > 0
-        assert text.startswith("summarize-copy")
+        assert text.startswith("map-reduce")
         json.dumps(rows)
 
-    def test_copy_cell_digest_and_steps_repeat(self, injected_clock):
+    def test_dag_cell_digest_and_steps_repeat(self, injected_clock):
         """Two runs of one seeded cell serve the same tokens in the same steps."""
         first, _ = run_scenario(
-            scenario="summarize-copy", normalizer="baseline", quick=True,
+            scenario="map-reduce", normalizer="baseline", quick=True,
             num_requests=6, seed=0,
         )
         second, _ = run_scenario(
-            scenario="summarize-copy", normalizer="baseline", quick=True,
+            scenario="map-reduce", normalizer="baseline", quick=True,
             num_requests=6, seed=0,
         )
         assert first["token_digest"] == second["token_digest"]
@@ -531,7 +523,7 @@ class TestTierPairing:
     def test_jobs_tier_axis_doubles_cells_and_marks_names(self):
         from repro.serve.bench import jobs
 
-        tier = {"tier_blocks": 16, "slo_aware": False}
+        tier = {"tier_blocks": 16}
         declared = jobs(
             quick=True, seed=0, scenarios=("agent-tree",),
             normalizers=("baseline",), tiers=(None, tier),

@@ -1,4 +1,4 @@
-"""Acceptance tests: shared-prefix, chunked-prefill, priority/preemption.
+"""Acceptance tests: shared-prefix, chunked-prefill, FIFO admission/preemption.
 
 The headline property of the scheduling tentpole: none of the new
 mechanisms — adopting another request's KV blocks, splitting a prompt into
@@ -206,31 +206,31 @@ class TestChatScenarioAcceptance:
             )
 
 
-class TestPriorityAndPreemption:
-    def test_high_priority_admitted_first(self, fixed_timer):
-        """With one slot, a later-arriving urgent request overtakes the queue."""
+class TestAdmissionAndPreemption:
+    def test_queued_requests_admitted_in_arrival_order(self, fixed_timer):
+        """With one slot, queued requests wait their turn in arrival order."""
         model = make_model()
         requests = [
             Request("running", np.array([1, 2]), max_new_tokens=12, arrival_time=0.0),
-            Request("batch", np.array([3, 4]), max_new_tokens=4, arrival_time=0.001,
-                    priority=0),
-            Request("urgent", np.array([5, 6]), max_new_tokens=4, arrival_time=0.002,
-                    priority=2),
+            Request("first", np.array([3, 4]), max_new_tokens=4, arrival_time=0.001),
+            Request("second", np.array([5, 6]), max_new_tokens=4, arrival_time=0.002),
         ]
         report = assert_served_equals_generate(
             model, requests, max_batch_size=1, timer=fixed_timer
         )
         assert (
-            report.by_id("urgent").admitted_time < report.by_id("batch").admitted_time
+            report.by_id("running").finish_time
+            <= report.by_id("first").admitted_time
+            < report.by_id("second").admitted_time
         )
 
     def test_preempted_request_output_is_byte_identical(self, fixed_timer):
         """ISSUE acceptance: preemption + deterministic re-run changes nothing."""
         model = make_model()
-        victim = Request("victim", np.array([9, 10, 11, 12]), max_new_tokens=6,
-                         priority=0)
+        # The victim arrives last, so it is the newest request.
+        victim = Request("victim", np.array([9, 10, 11, 12]), max_new_tokens=6)
         hogs = [
-            Request(f"hog{i}", np.arange(1 + i, 5 + i), max_new_tokens=8, priority=1)
+            Request(f"hog{i}", np.arange(1 + i, 5 + i), max_new_tokens=8)
             for i in range(2)
         ]
         engine = ServeEngine(
@@ -258,31 +258,44 @@ class TestPriorityAndPreemption:
                 report.by_id(request.request_id).tokens, reference(model, request)
             )
 
+    def test_preempted_request_reenters_ahead_of_later_arrivals(self, fixed_timer):
+        model = make_model()
+        hog = Request("hog", np.arange(1, 5), max_new_tokens=10)
+        victim = Request("victim", np.array([9, 10, 11, 12]), max_new_tokens=6)
+        late = Request("late", np.array([5, 6]), max_new_tokens=4, arrival_time=0.0005)
+        report = assert_served_equals_generate(
+            model, [hog, victim, late], max_batch_size=2, block_size=2,
+            initial_blocks=4, max_blocks=8, timer=fixed_timer,
+        )
+        assert report.by_id("victim").preemptions >= 1
+        assert report.by_id("hog").preemptions == 0
+        assert report.by_id("victim").admitted_time <= report.by_id("late").admitted_time
+
     def test_no_livelock_under_budget_plus_bounded_pool(self, fixed_timer):
         """Regression: the protected state must be one the plan runs.
 
         With a prefill budget *and* a bounded pool, protecting a
         budget-stalled state while preempting every planned row spun
         forever (preemption_count grew without a single completion).
-        The budget is now granted in protection-rank order, so the
-        never-preempted state always advances and the run terminates.
+        The budget is now granted in queue order, the order preemption
+        protects, so the never-preempted state always advances and the
+        run terminates.
         """
         model = make_model()
-        workload = generate_workload(
-            "priority-burst", num_requests=20, vocab_size=64, seed=0
-        )
+        workload = generate_workload("bursty", num_requests=20, vocab_size=64, seed=0)
         engine = ServeEngine(
             model,
             max_batch_size=8,
             block_size=2,
-            initial_blocks=10,
-            max_blocks=10,
+            initial_blocks=13,
+            max_blocks=13,  # the largest request's footprint: the tightest pool
             prefix_caching=True,
             prefill_budget=3,
             timer=fixed_timer,
         )
         report = engine.serve(workload)  # must terminate
         assert report.metrics["requests_completed"] == 20
+        assert report.metrics["preempted_count"] > 0
         for request in workload:
             np.testing.assert_array_equal(
                 report.by_id(request.request_id).tokens, reference(model, request)
@@ -290,8 +303,8 @@ class TestPriorityAndPreemption:
 
     def test_preemption_times_recorded(self, fixed_timer):
         model = make_model()
-        victim = Request("v", np.array([9, 10, 11, 12]), max_new_tokens=6, priority=0)
-        hog = Request("h", np.arange(1, 5), max_new_tokens=10, priority=1)
+        victim = Request("v", np.array([9, 10, 11, 12]), max_new_tokens=6)
+        hog = Request("h", np.arange(1, 5), max_new_tokens=10)
         report = ServeEngine(
             model, max_batch_size=2, block_size=2, initial_blocks=4, max_blocks=8,
             timer=fixed_timer,
@@ -303,7 +316,7 @@ class TestPriorityAndPreemption:
     def test_unbounded_pool_never_preempts(self, fixed_timer):
         model = make_model()
         requests = [
-            Request(f"r{i}", np.arange(1, 10), max_new_tokens=8, priority=i % 2)
+            Request(f"r{i}", np.arange(1, 10), max_new_tokens=8)
             for i in range(6)
         ]
         report = assert_served_equals_generate(
@@ -316,9 +329,8 @@ class TestSchedulingMetrics:
     def test_new_metric_fields_present(self, fixed_timer):
         model = make_model()
         requests = [
-            Request("a", np.array([1, 2, 3]), max_new_tokens=4, priority=1),
-            Request("b", np.array([4, 5]), max_new_tokens=4, priority=0,
-                    arrival_time=0.001),
+            Request("a", np.array([1, 2, 3]), max_new_tokens=4),
+            Request("b", np.array([4, 5]), max_new_tokens=4, arrival_time=0.001),
         ]
         report = ServeEngine(model, timer=fixed_timer).serve(requests)
         metrics = report.metrics
@@ -327,10 +339,6 @@ class TestSchedulingMetrics:
         assert metrics["prefix_hit_rate"] == 0.0
         assert metrics["preempted_count"] == 0
         assert metrics["preempted_ids"] == []
-        by_priority = metrics["latency_by_priority"]
-        assert set(by_priority) == {"0", "1"}
-        assert by_priority["1"]["requests"] == 1
-        assert {"mean", "p50", "p90", "p99"} <= set(by_priority["0"]["ttft_s"])
         pool = report.pool_stats
         for key in (
             "blocks_adopted",

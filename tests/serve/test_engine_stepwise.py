@@ -3,8 +3,9 @@
 ``begin`` / ``submit`` / ``step_at`` / ``report`` decompose the serve
 loop so a caller that owns the clock and the arrival stream can drive the
 engine; this file pins that the decomposition is faithful (stepping by
-hand reproduces ``serve()`` exactly) and that ``submit`` rejects bad
-requests without enqueuing them.
+hand reproduces ``serve()`` exactly), that ``submit`` rejects bad
+requests without enqueuing them, and that ``serve()`` refuses a workload
+holding one before its first step.
 """
 
 import numpy as np
@@ -226,6 +227,31 @@ class TestPoolFootprint:
             ServeEngine(
                 model, block_size=2, max_blocks=3, prefix_caching=True
             ).submit(long)
+
+
+class TestServeRefusesUpFront:
+    """``serve()`` runs ``submit``'s checks over the whole workload first."""
+
+    BAD = {
+        "prompt": dict(prompt_ids=np.array([1, 2, 999])),
+        "stop": dict(prompt_ids=np.array([1, 2, 3]), stop_tokens=(999,)),
+        "footprint": dict(prompt_ids=np.arange(1, 13)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_late_refused_request_refuses_the_workload_before_any_step(
+        self, model, kind
+    ):
+        timer = _Timer()
+        engine = ServeEngine(model, block_size=4, max_blocks=2, timer=timer)
+        good = Request("a", np.array([1, 2, 3]), max_new_tokens=2)
+        bad = Request("b", max_new_tokens=2, arrival_time=0.5, **self.BAD[kind])
+        with pytest.raises(ValueError, match="'b'"):
+            engine.serve([good, bad])
+        assert timer.t == 0.0  # no step ran
+        assert not engine.has_work  # nothing was enqueued
+        report = engine.serve([good])
+        np.testing.assert_array_equal(report.by_id("a").tokens, reference(model, good))
 
 
 class TestMeasuredClock:

@@ -2,7 +2,7 @@
 
 The tentpole guarantee of the execution-backend layer: under every
 precision preset (fp64-ref through bf16-fp8kv) and on every serving path
-— the classic four scenarios, the copy-heavy scenario, prefix caching,
+— the classic four scenarios, a greedy agent-tree workload, prefix caching,
 chunked prefill and preempt-then-rerun — an engine on the
 ``compiled`` backend serves **exactly** the token streams the
 ``reference`` backend serves.  The compiled plan pre-resolves each
@@ -80,13 +80,13 @@ class TestClassicScenarios:
         )
 
 
-class TestCopyScenarioParity:
-    """summarize-copy's long greedy decodes, every preset."""
+class TestGreedyScenarioParity:
+    """agent-tree's greedy decodes over nested prompts, every preset."""
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_copy_parity_and_generate_agreement(self, policy, fixed_timer):
+    def test_greedy_parity_and_generate_agreement(self, policy, fixed_timer):
         model = make_model(policy)
-        requests = workload("summarize-copy", count=6)
+        requests = workload("agent-tree", count=6)
         _, comp_report = assert_backend_parity(
             model, requests, max_batch_size=4, timer=fixed_timer
         )
@@ -141,11 +141,10 @@ class TestSchedulingPaths:
     @pytest.mark.parametrize("policy", ["fp64-ref", "bf16-fp8kv"])
     def test_preempt_then_rerun_parity(self, policy, fixed_timer):
         model = make_model(policy)
-        victim = Request(
-            "victim", np.array([9, 10, 11, 9, 10, 11]), max_new_tokens=8, priority=0
-        )
+        # The victim arrives last, so it is the newest request.
+        victim = Request("victim", np.array([9, 10, 11, 9, 10, 11]), max_new_tokens=8)
         hogs = [
-            Request(f"hog{i}", np.arange(1 + i, 6 + i), max_new_tokens=10, priority=1)
+            Request(f"hog{i}", np.arange(1 + i, 6 + i), max_new_tokens=10)
             for i in range(2)
         ]
         _, comp_report = assert_backend_parity(

@@ -74,7 +74,7 @@ def test_request_at_its_footprint_is_served_alone(
             tighter.submit(request)
 
 
-SHARING = ("chat-multiturn", "agent-fanout", "agent-tree", "summarize-copy")
+SHARING = ("chat-multiturn", "agent-fanout", "agent-tree", "map-reduce")
 
 
 @pytest.mark.parametrize("seed", range(12), ids=lambda s: f"seed{s:02d}")

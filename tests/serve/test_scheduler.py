@@ -1,20 +1,19 @@
-"""Scheduler bookkeeping: admission, priorities, budget plans, preemption."""
+"""Scheduler bookkeeping: FIFO admission, budget plans, preemption."""
 
 import numpy as np
 import pytest
 
 from repro.serve.kv_pool import BlockKVPool, PoolExhaustedError
 from repro.serve.request import Request
-from repro.serve.scheduler import ContinuousBatchScheduler, Scheduler
+from repro.serve.scheduler import Scheduler
 
 
-def make_request(rid, arrival=0.0, priority=0, prompt_len=3):
+def make_request(rid, arrival=0.0, prompt_len=3):
     return Request(
         rid,
         np.arange(1, prompt_len + 1),
         max_new_tokens=4,
         arrival_time=arrival,
-        priority=priority,
     )
 
 
@@ -28,7 +27,7 @@ def make_pool(**kwargs):
 
 @pytest.fixture
 def scheduler():
-    return ContinuousBatchScheduler(make_pool(), max_batch_size=2)
+    return Scheduler(make_pool(), max_batch_size=2)
 
 
 class TestAdmission:
@@ -80,24 +79,17 @@ class TestRetirement:
 
     def test_max_batch_size_validated(self, scheduler):
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(scheduler.pool, max_batch_size=0)
+            Scheduler(scheduler.pool, max_batch_size=0)
 
 
-class TestPriorityAdmission:
-    def test_higher_class_overtakes_fifo(self):
-        scheduler = Scheduler(make_pool(), max_batch_size=2)
-        scheduler.enqueue(make_request("batch-a", priority=0))
-        scheduler.enqueue(make_request("batch-b", priority=0))
-        scheduler.enqueue(make_request("urgent", priority=2))
-        admitted = scheduler.admit(now=0.0)
-        assert [s.request.request_id for s in admitted] == ["urgent", "batch-a"]
-
-    def test_fifo_within_a_class(self):
+class TestQueueOrder:
+    def test_queue_seq_counts_enqueues(self):
         scheduler = Scheduler(make_pool(), max_batch_size=3)
         for rid in ("a", "b", "c"):
-            scheduler.enqueue(make_request(rid, priority=1))
+            scheduler.enqueue(make_request(rid))
         admitted = scheduler.admit(now=0.0)
         assert [s.request.request_id for s in admitted] == ["a", "b", "c"]
+        assert [s.queue_seq for s in admitted] == [0, 1, 2]
 
     def test_prompt_window_trimmed_to_max_position(self):
         scheduler = Scheduler(make_pool(), max_batch_size=1, max_position=4)
@@ -134,6 +126,18 @@ class TestStepPlan:
             ("p1", 4), ("p2", 1)
         ]
         assert [s.request.request_id for s in plan.decode] == ["d"]
+
+    def test_budget_granted_in_queue_order_not_slot_order(self):
+        scheduler = Scheduler(make_pool(), max_batch_size=2, prefill_budget=4)
+        scheduler.enqueue(make_request("a", prompt_len=6))
+        scheduler.enqueue(make_request("b", prompt_len=6))
+        a, b = scheduler.admit(now=0.0)
+        scheduler.retire(a)
+        scheduler.enqueue(make_request("c", prompt_len=6))
+        (c,) = scheduler.admit(now=1.0)
+        assert scheduler.active() == [c, b]  # c took a's slot
+        plan = scheduler.plan()
+        assert [(s.request.request_id, n) for s, n in plan.prefill] == [("b", 4)]
 
     def test_no_budget_prefills_whole_prompt(self):
         scheduler = Scheduler(make_pool(), max_batch_size=1)
@@ -188,8 +192,8 @@ class TestDecodeRows:
 
 
 class TestPreemption:
-    def _admit_with_blocks(self, scheduler, rid, blocks, priority=0):
-        scheduler.enqueue(make_request(rid, priority=priority))
+    def _admit_with_blocks(self, scheduler, rid, blocks):
+        scheduler.enqueue(make_request(rid))
         state = scheduler.admit(now=0.0)[-1]
         bs = scheduler.pool.block_size
         heads, dim = scheduler.pool.num_heads, scheduler.pool.head_dim
@@ -199,30 +203,49 @@ class TestPreemption:
         state.prefill_pos = len(state.prompt_window)
         return state
 
-    def test_lowest_priority_newest_victim(self):
+    def test_newest_victim(self):
         pool = make_pool(initial_blocks=8, max_blocks=8)
         scheduler = Scheduler(pool, max_batch_size=3)
-        keeper = self._admit_with_blocks(scheduler, "keeper", 3, priority=1)
-        old_low = self._admit_with_blocks(scheduler, "old-low", 3, priority=0)
-        new_low = self._admit_with_blocks(scheduler, "new-low", 2, priority=0)
+        keeper = self._admit_with_blocks(scheduler, "keeper", 3)
+        older = self._admit_with_blocks(scheduler, "older", 3)
+        newest = self._admit_with_blocks(scheduler, "newest", 2)
         plan = scheduler.plan()
         victims = scheduler.reserve(plan)
-        assert [v.request.request_id for v in victims] == ["new-low"]
+        assert [v.request.request_id for v in victims] == ["newest"]
         assert scheduler.preemption_count == 1
-        assert scheduler.preemptions_of("new-low") == 1
-        assert new_low.kv is None  # blocks released
-        assert keeper in scheduler.active() and old_low in scheduler.active()
+        assert scheduler.preemptions_of("newest") == 1
+        assert newest.kv is None  # blocks released
+        assert keeper in scheduler.active() and older in scheduler.active()
         # The victim re-enters the queue ahead of any later arrival.
-        scheduler.enqueue(make_request("later", priority=0))
+        scheduler.enqueue(make_request("later"))
         scheduler.retire(keeper)
         readmitted = scheduler.admit(now=1.0)
-        assert readmitted[0].request.request_id == "new-low"
+        assert readmitted[0].request.request_id == "newest"
+        assert readmitted[0].queue_seq == 2
+
+    def test_victims_taken_newest_first_until_the_plan_fits(self):
+        pool = make_pool(initial_blocks=8, max_blocks=8)
+        scheduler = Scheduler(pool, max_batch_size=4)
+        first = self._admit_with_blocks(scheduler, "first", 2)
+        for rid in ("second", "third", "fourth"):
+            self._admit_with_blocks(scheduler, rid, 2)
+        first.kv.release()  # free two blocks, then ask for five
+        first.kv = scheduler.pool.sequence()
+        first.prefill_pos = 0
+        first.prompt_window = np.arange(1, 21)
+        plan = scheduler.plan()
+        assert [(s.request.request_id, n) for s, n in plan.prefill] == [("first", 20)]
+        victims = scheduler.reserve(plan)
+        assert [v.request.request_id for v in victims] == ["fourth", "third"]
+        assert [s.request.request_id for s in scheduler.active()] == [
+            "first", "second"
+        ]
 
     def test_preempted_plan_rows_are_dropped(self):
         pool = make_pool(initial_blocks=8, max_blocks=8)
         scheduler = Scheduler(pool, max_batch_size=2)
-        keeper = self._admit_with_blocks(scheduler, "keeper", 4, priority=1)
-        victim = self._admit_with_blocks(scheduler, "victim", 4, priority=0)
+        keeper = self._admit_with_blocks(scheduler, "keeper", 4)
+        victim = self._admit_with_blocks(scheduler, "victim", 4)
         plan = scheduler.plan()
         assert len(plan.decode) == 2
         scheduler.reserve(plan)
@@ -236,14 +259,6 @@ class TestPreemption:
         with pytest.raises(PoolExhaustedError):
             scheduler.reserve(plan)
         assert state in scheduler.active()  # the survivor is never preempted
-
-    def test_preemption_disabled_raises_instead(self):
-        pool = make_pool(initial_blocks=8, max_blocks=8)
-        scheduler = Scheduler(pool, max_batch_size=2, preemption=False)
-        self._admit_with_blocks(scheduler, "a", 4, priority=1)
-        self._admit_with_blocks(scheduler, "b", 4, priority=0)
-        with pytest.raises(PoolExhaustedError):
-            scheduler.reserve(scheduler.plan())
 
     def test_unbounded_pool_reserves_without_preempting(self):
         scheduler = Scheduler(make_pool(initial_blocks=2), max_batch_size=2)

@@ -1,9 +1,8 @@
-"""MetricsRecorder reductions: distribution edges, priority classes, steps.
+"""MetricsRecorder reductions: distribution edges, completions, steps.
 
-Satellite coverage for :mod:`repro.serve.metrics`: ``_distribution`` on
-empty and single-value samples, ``latency_by_priority`` when a priority
-class completes nothing, and the per-step counters' zero/denominator
-behaviour.
+Coverage for :mod:`repro.serve.metrics`: ``_distribution`` on empty and
+single-value samples, the latency distributions of a few completions, and
+the per-step counters' zero/denominator behaviour.
 """
 
 import json
@@ -15,7 +14,7 @@ from repro.serve.metrics import PERCENTILES, MetricsRecorder, _distribution
 from repro.serve.request import CompletedRequest
 
 
-def completed(rid, priority=0, arrival=0.0, first=1.0, finish=2.0, generated=3):
+def completed(rid, arrival=0.0, first=1.0, finish=2.0, generated=3):
     return CompletedRequest(
         request_id=rid,
         tokens=np.arange(generated + 2),
@@ -26,7 +25,6 @@ def completed(rid, priority=0, arrival=0.0, first=1.0, finish=2.0, generated=3):
         admitted_time=arrival,
         first_token_time=first,
         finish_time=finish,
-        priority=priority,
     )
 
 
@@ -61,34 +59,27 @@ class TestDistribution:
         assert _distribution(x for x in (1.0, 3.0))["mean"] == 2.0
 
 
-class TestLatencyByPriority:
-    def test_class_with_zero_completions_is_absent(self):
-        """Only classes that completed requests appear — no NaN-filled rows
-        for classes that were enqueued but never finished."""
-        recorder = MetricsRecorder()
-        recorder.record_completion(completed("a", priority=2), [1.0, 1.5])
-        # Priority 0 requests exist in the workload but none completed.
-        by_priority = recorder.summary()["latency_by_priority"]
-        assert set(by_priority) == {"2"}
-        assert by_priority["2"]["requests"] == 1
-
-    def test_empty_run_has_empty_mapping(self):
-        assert MetricsRecorder().summary()["latency_by_priority"] == {}
-
-    def test_classes_sorted_and_counted(self):
-        recorder = MetricsRecorder()
-        for rid, priority in (("a", 1), ("b", 0), ("c", 1)):
-            recorder.record_completion(completed(rid, priority=priority), [1.0])
-        by_priority = recorder.summary()["latency_by_priority"]
-        assert list(by_priority) == ["0", "1"]
-        assert by_priority["1"]["requests"] == 2
-
+class TestCompletionLatencies:
     def test_single_completion_distributions_are_finite(self):
         recorder = MetricsRecorder()
-        recorder.record_completion(completed("a", priority=3), [1.0])
-        row = recorder.summary()["latency_by_priority"]["3"]
-        assert row["ttft_s"]["p50"] == row["ttft_s"]["p99"] == 1.0
-        assert not math.isnan(row["queue_wait_s"]["mean"])
+        recorder.record_completion(completed("a"), [1.0])
+        summary = recorder.summary()
+        assert summary["ttft_s"]["p50"] == summary["ttft_s"]["p99"] == 1.0
+        assert not math.isnan(summary["queue_wait_s"]["mean"])
+        assert summary["inter_token_latency_s"]["count"] == 0
+
+    def test_distributions_span_every_completion(self):
+        recorder = MetricsRecorder()
+        for rid, arrival in (("a", 0.0), ("b", 0.25), ("c", 0.5)):
+            recorder.record_completion(
+                completed(rid, arrival=arrival, first=1.0, finish=2.0), [1.0, 2.0]
+            )
+        summary = recorder.summary()
+        assert summary["requests_completed"] == 3
+        assert summary["ttft_s"]["count"] == 3
+        assert summary["ttft_s"]["mean"] == 0.75
+        assert summary["inter_token_latency_s"]["count"] == 3
+        assert summary["makespan_s"] == 2.0
 
 
 class TestStepCounters:

@@ -1,5 +1,7 @@
 """Workload generator: scenario shapes, determinism, arrival models."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,6 @@ class TestScenarios:
             "codegen",
             "chat-multiturn",
             "agent-fanout",
-            "priority-burst",
-            "summarize-copy",
             "agent-tree",
             "map-reduce",
         }
@@ -132,35 +132,14 @@ class TestStructuredScenarios:
                     member.prompt_ids[: scenario.shared_prefix_len[0]], first
                 )
 
-    def test_priority_burst_draws_multiple_classes(self):
-        requests = generate_workload(
-            "priority-burst", num_requests=40, vocab_size=64, seed=0
-        )
-        classes = {r.priority for r in requests}
-        assert classes == {0, 1, 2}
-
-    def test_classic_scenarios_default_to_priority_zero(self):
-        requests = generate_workload("steady", num_requests=8, vocab_size=64, seed=0)
-        assert all(r.priority == 0 for r in requests)
-
-    def test_priority_mix_override_string(self):
-        requests = generate_workload(
-            "steady", num_requests=30, vocab_size=64, seed=0,
-            priority_mix="3:0.5,1:0.5",
-        )
-        assert {r.priority for r in requests} <= {3, 1}
-        assert len({r.priority for r in requests}) == 2
-
     def test_structured_workloads_are_seed_deterministic(self):
         for name in (
-            "chat-multiturn", "agent-fanout", "priority-burst",
-            "agent-tree", "map-reduce",
+            "chat-multiturn", "agent-fanout", "agent-tree", "map-reduce",
         ):
             a = generate_workload(name, num_requests=12, vocab_size=64, seed=7)
             b = generate_workload(name, num_requests=12, vocab_size=64, seed=7)
             for left, right in zip(a, b):
                 assert left.request_id == right.request_id
-                assert left.priority == right.priority
                 assert left.arrival_time == right.arrival_time
                 np.testing.assert_array_equal(left.prompt_ids, right.prompt_ids)
 
@@ -271,3 +250,43 @@ class TestDAGScenarios:
         assert len(
             generate_workload("map-reduce", sessions=3, vocab_size=64, seed=0)
         ) == 15
+
+
+#: Request-list checksums at seed 0, 16 requests, vocab 64.  A scenario
+#: edit that moves any field of any request, or a draw added to the shared
+#: random stream, changes its checksum.
+WORKLOAD_DIGESTS = {
+    "steady": "9e2577d0",
+    "bursty": "07bbcfcf",
+    "chat": "acc84c8a",
+    "codegen": "d2a53b8e",
+    "chat-multiturn": "449f833d",
+    "agent-fanout": "4350b068",
+    "agent-tree": "e800efb2",
+    "map-reduce": "91fc1e92",
+}
+
+
+def workload_digest(requests):
+    crc = 0
+    for r in requests:
+        fields = (
+            r.request_id, r.max_new_tokens, r.temperature, r.top_k,
+            r.stop_tokens, r.seed, r.session_id,
+        )
+        crc = zlib.crc32(repr(fields).encode(), crc)
+        crc = zlib.crc32(np.float64(r.arrival_time).tobytes(), crc)
+        crc = zlib.crc32(
+            np.ascontiguousarray(r.prompt_ids, dtype=np.int64).tobytes(), crc
+        )
+    return f"{crc:08x}"
+
+
+def test_every_scenario_has_a_pinned_digest():
+    assert set(WORKLOAD_DIGESTS) == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_bytes_are_pinned(name):
+    requests = generate_workload(name, num_requests=16, vocab_size=64, seed=0)
+    assert workload_digest(requests) == WORKLOAD_DIGESTS[name]

@@ -33,7 +33,7 @@ from repro.fpformats.arithmetic import FormatArithmetic
 from repro.fpformats.bitops import decode_bits, stored_exponent
 # ``quantize`` stays a module attribute: the wall-clock benchmark's tracer
 # patches ``repro.core.iteration.quantize`` by name.
-from repro.fpformats.quantize import quantize, rounder
+from repro.fpformats.quantize import carrier, quantize, rounder
 from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
 
 
@@ -164,8 +164,9 @@ def iterate_a_batch(
     ``m`` (a unit test asserts this), but executed with array operations so
     the transformer substrate can normalize thousands of token rows per call.
     Non-positive and NaN entries of ``m`` (all-zero rows) yield ``a = 0``.
-    Every rounding is a :func:`rounder`, and the exponent of the rounded
-    ``m`` is read with :func:`stored_exponent`.
+    ``m`` is rounded with a :func:`rounder`, its exponent is read with
+    :func:`stored_exponent`, and the updates run on the format's
+    :func:`carrier`.
 
     For a format of at most 16 bits with the default ``lam`` and ``a0``,
     the update loop runs once per ``(format, num_steps)`` over every
@@ -224,30 +225,38 @@ def _update_loop(
     """Eq. 6/10 set-up and ``num_steps`` updates of ``a`` for positive
     ``m_safe`` already in ``fmt``, rounding after every operation.
 
+    The updates run on the format's :func:`carrier` (float32 for fp32 and
+    the narrower paper formats): every operand is in the format, so each
+    native operation followed by the carrier's rounding gives the bytes of
+    the float64 operation rounded into the format.
+
     An infinite ``m`` drives ``a`` to NaN; that is the datapath's result, so
     float errors are not reported, whether the loop runs on a batch or
     builds a table.
     """
-    q = rounder(fmt)
+    cr = carrier(fmt)
+    enter, rnd = cr.enter, cr.round
     exponents = stored_exponent(m_safe, fmt).astype(np.float64)
     if a0 is None:
-        a = q(np.exp2(-(exponents + 1.0) / 2.0))
+        a = enter(np.exp2(-(exponents + 1.0) / 2.0))
     else:
-        a = np.broadcast_to(q(a0), m_safe.shape).copy()
+        a = np.broadcast_to(enter(np.asarray(a0, dtype=np.float64)), m_safe.shape)
     if lam is None:
-        lam_arr = q(LAMBDA_COEFFICIENT * np.exp2(-exponents))
+        lam_arr = enter(LAMBDA_COEFFICIENT * np.exp2(-exponents))
     else:
-        lam_arr = np.broadcast_to(q(lam), m_safe.shape)
+        lam_arr = np.broadcast_to(enter(np.asarray(lam, dtype=np.float64)), m_safe.shape)
+    m_c = m_safe.astype(cr.dtype)
+    one = cr.dtype.type(1.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(num_steps):
-            ma = q(m_safe * a)
-            ma2 = q(ma * a)
-            one_minus = q(1.0 - ma2)
-            lam_ma = q(lam_arr * ma)
-            delta = q(lam_ma * one_minus)
-            a = q(a + delta)
-    return a
+            ma = rnd(m_c * a)
+            ma2 = rnd(ma * a)
+            one_minus = rnd(one - ma2)
+            lam_ma = rnd(lam_arr * ma)
+            delta = rnd(lam_ma * one_minus)
+            a = rnd(a + delta)
+    return a.astype(np.float64)
 
 
 def iterl2norm_vector(

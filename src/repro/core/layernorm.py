@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.iteration import iterate_a_batch
 from repro.fpformats.arithmetic import FormatArithmetic
+from repro.fpformats.quantize import carrier
 from repro.fpformats.spec import FLOAT64, FloatFormat, get_format
 
 
@@ -90,12 +91,16 @@ class IterL2Norm:
         self.config = config or IterL2NormConfig()
         self.fmt: FloatFormat = get_format(self.config.fmt)
         self._arith = FormatArithmetic(self.fmt)
+        self._carrier = carrier(self.fmt)
         # The macro's pre-stored constants, in the working format.
-        self._inv_d = self._arith.cast(1.0 / self.normalized_dim)
-        self._sqrt_d = self._arith.cast(np.sqrt(self.normalized_dim))
+        self._inv_d = self._constant(1.0 / self.normalized_dim)
+        self._sqrt_d = self._constant(np.sqrt(self.normalized_dim))
 
         self.gamma = self._init_param(gamma, default=1.0, name="gamma")
         self.beta = self._init_param(beta, default=0.0, name="beta")
+
+    def _constant(self, value: float) -> np.generic:
+        return self._carrier.enter(np.array([value]))[0]
 
     def _init_param(
         self, value: np.ndarray | None, default: float, name: str
@@ -110,6 +115,35 @@ class IterL2Norm:
                 )
         return np.asarray(self._arith.cast(param))
 
+    # -- affine parameters -----------------------------------------------------
+    # Each parameter is held read-only next to its carrier copy, bound when it
+    # is assigned.  A value outside the working format has no carrier copy:
+    # forward then applies it as a float64 operation rounded once, so an
+    # unrounded parameter is never rounded before it is used.
+    @property
+    def gamma(self) -> np.ndarray:
+        """Scale applied after normalization (read-only; assign to replace)."""
+        return self._gamma
+
+    @gamma.setter
+    def gamma(self, value: np.ndarray) -> None:
+        self._gamma, self._gamma_c = self._bind_param(value)
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Shift applied after scaling (read-only; assign to replace)."""
+        return self._beta
+
+    @beta.setter
+    def beta(self, value: np.ndarray) -> None:
+        self._beta, self._beta_c = self._bind_param(value)
+
+    def _bind_param(self, value: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        param = np.array(value, dtype=np.float64)
+        param.setflags(write=False)
+        in_format = np.asarray(self._arith.cast(param)).tobytes() == param.tobytes()
+        return param, self._carrier.enter(param) if in_format else None
+
     # -- forward ---------------------------------------------------------------
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -120,43 +154,62 @@ class IterL2Norm:
         Accepts any array whose last dimension equals ``normalized_dim``;
         leading dimensions are treated as independent rows (batch and
         sequence axes of a transformer activation).  The whole batch is
-        normalized in one vectorized pass: per-row means and squared norms go
-        through the format-rounded adder-tree reduction, and the scalar
-        iteration runs on the vector of per-row ``m`` values at once.
+        normalized in one vectorized pass.
+
+        Algorithm 1 runs on the format's
+        :func:`~repro.fpformats.quantize.carrier`: float32 for fp32 and for
+        every format whose precision ``p`` satisfies ``24 >= 2p + 2`` and
+        whose range fits float32 (bf16, fp16, fp8), float64 for fp64.
+        ``x`` is rounded into the format once and converted into the carrier
+        once; every centring, squaring, scaling and affine step is then one
+        native carrier operation followed by the carrier's rounding, which
+        gives the bytes of the float64 operation rounded into the format
+        (double rounding is innocuous for ``p' >= 2p + 2``).  Per-row means
+        and squared norms go through
+        :meth:`~repro.fpformats.arithmetic.FormatArithmetic.tree_sum_rows`,
+        which sums each group of 8 in the fixed order
+        ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and rounds once per level;
+        the scalar iteration runs on the vector of per-row ``m`` values at
+        once.  The result converts to float64 once.
+
+        Infinities and NaNs are datapath results here, as in the update
+        loop: a row that overflows the format or holds both infinities
+        returns its NaNs without a NumPy float-error warning.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.normalized_dim:
             raise ValueError(
                 f"last axis of x must be {self.normalized_dim}, got {x.shape[-1]}"
             )
-        arith = self._arith
         cfg = self.config
-        d = self.normalized_dim
+        tree_sum_rows = self._arith.tree_sum_rows
+        dtype, enter, rnd = self._carrier.dtype, self._carrier.enter, self._carrier.round
 
-        flat = x.reshape(-1, d)
-        # x_q and squares are already in the format: tree-sum them unrounded.
-        x_q = np.asarray(arith.cast(flat))
-        sums = arith.tree_sum_rows(x_q)
-        means = np.asarray(arith.mul(sums, self._inv_d)).reshape(-1, 1)
-        y = np.asarray(arith.sub(x_q, means))
-        squares = np.asarray(arith.mul(y, y))
-        m = arith.tree_sum_rows(squares)
-
-        a = iterate_a_batch(
-            m,
-            num_steps=cfg.num_steps,
-            lam=cfg.update_rate,
-            a0=cfg.initial_a,
-            fmt=self.fmt,
-        )
-        scales = np.asarray(arith.mul(a, self._sqrt_d)).reshape(-1, 1)
-        y_hat = np.asarray(arith.mul(y, scales))
-
-        if cfg.elementwise_affine:
-            out = np.asarray(arith.add(arith.mul(y_hat, self.gamma), self.beta))
-        else:
-            out = y_hat
-        return out.reshape(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_c = enter(x.reshape(-1, self.normalized_dim))
+            means = rnd(tree_sum_rows(x_c).astype(dtype) * self._inv_d)
+            y = rnd(x_c - means[:, None])
+            m = tree_sum_rows(rnd(y * y))
+            a = iterate_a_batch(
+                m,
+                num_steps=cfg.num_steps,
+                lam=cfg.update_rate,
+                a0=cfg.initial_a,
+                fmt=self.fmt,
+            )
+            scales = rnd(a.astype(dtype) * self._sqrt_d)
+            out = rnd(y * scales[:, None])
+            if cfg.elementwise_affine:
+                gamma, beta = self._gamma_c, self._beta_c
+                if gamma is None:
+                    out = enter(out.astype(np.float64) * self._gamma)
+                else:
+                    out = rnd(out * gamma)
+                if beta is None:
+                    out = enter(out.astype(np.float64) + self._beta)
+                else:
+                    out = rnd(out + beta)
+        return out.astype(np.float64, copy=False).reshape(x.shape)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         """Alias of :meth:`forward` (keeps parity with the exact baseline)."""

@@ -6,7 +6,16 @@ each arithmetic result is rounded before being consumed by the next stage.
 :class:`FormatArithmetic` emulates this by quantizing the result of every
 elementary operation.  Reductions mirror the macro's adder-tree structure so
 the accumulation order — and hence the rounding error — matches the hardware
-rather than NumPy's pairwise ``sum``.
+rather than whatever order a library ``sum`` picks.
+
+The adder tree has one kernel, :meth:`FormatArithmetic.tree_sum_rows`, which
+:meth:`~FormatArithmetic.tree_sum` (and so the macro's Add block) and the
+normalizer's forward pass share.  It takes rows already in the format, in
+their :func:`~repro.fpformats.quantize.carrier` dtype or in float64, and sums
+each group of 8 in float64 in one fixed order,
+``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` — a balanced tree of 2-input adders,
+and the order NumPy's pairwise ``sum`` takes for 8 addends — then rounds
+each group's sum once.
 
 Every rounding goes through the format's
 :func:`~repro.fpformats.quantize.rounder`, bound once at construction; it is
@@ -33,13 +42,14 @@ class FormatArithmetic:
     fmt:
         Target format (name or :class:`FloatFormat`).
     tree_fan_in:
-        Fan-in of the emulated adder trees used by :meth:`tree_sum`.  The
-        macro uses 8-input adder trees; the default matches that.
+        Fan-in of the emulated adder trees used by :meth:`tree_sum`, a power
+        of two.  The macro uses 8-input adder trees; the default matches
+        that.
     """
 
     def __init__(self, fmt: FloatFormat | str, tree_fan_in: int = 8) -> None:
-        if tree_fan_in < 2:
-            raise ValueError(f"tree_fan_in must be >= 2, got {tree_fan_in}")
+        if tree_fan_in < 2 or tree_fan_in & (tree_fan_in - 1):
+            raise ValueError(f"tree_fan_in must be a power of two >= 2, got {tree_fan_in}")
         self.fmt = get_format(fmt)
         self.tree_fan_in = int(tree_fan_in)
         self._round = rounder(self.fmt)
@@ -98,21 +108,35 @@ class FormatArithmetic:
 
     def tree_sum_rows(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`tree_sum` of each row of a 2-D array already in the format,
-        skipping the (idempotent) input rounding; vectorized level by level.
-        No rows, or rows of length 0, give zeros of length ``len(rows)``."""
+        float32 or float64, skipping the (idempotent) input rounding.
+
+        Each level zero-pads the rows to a multiple of the fan-in, sums each
+        group in float64 as a balanced tree of strided pairwise adds, and
+        rounds the sums once.  A row holding both infinities sums to NaN, the
+        datapath's result: like the iteration's update loop, the kernel
+        reports no float error.  No rows, or rows of length 0, give zeros of
+        length ``len(rows)``; the result is float64.
+        """
+        count, width = rows.shape
         if rows.size == 0:
-            return np.zeros(rows.shape[0], dtype=np.float64)
-        current = rows
+            return np.zeros(count, dtype=np.float64)
         k = self.tree_fan_in
-        while current.shape[-1] > 1:
-            pad = (-current.shape[-1]) % k
-            if pad:
-                current = np.concatenate(
-                    [current, np.zeros((current.shape[0], pad))], axis=-1
-                )
-            grouped = current.reshape(current.shape[0], -1, k)
-            current = self._round(grouped.sum(axis=-1))
-        return current[:, 0]
+        current = rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            while width > 1:
+                groups = -(-width // k)
+                if groups * k != width:
+                    padded = np.zeros((count, groups * k))
+                    padded[:, :width] = current
+                    current = padded
+                elif current.dtype != np.float64:
+                    current = current.astype(np.float64)
+                level = current.reshape(count, groups, k)
+                while level.shape[-1] > 1:
+                    level = level[..., 0::2] + level[..., 1::2]
+                current = self._round(level.reshape(count, groups))
+                width = groups
+        return current[:, 0].astype(np.float64, copy=False)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Inner product: element-wise rounded products, then a tree sum."""

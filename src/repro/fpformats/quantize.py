@@ -26,10 +26,23 @@ even of the 52-bit mantissa to bfloat16's 7, the same result as
 every non-zero result lands in bfloat16's normal range.  An array with a
 NaN, an infinity, an overflow or a subnormal-range element goes through the
 reference path instead.
+
+:func:`carrier` binds, per format, the native dtype that a chain of
+operations on values *already in the format* can run in: float32 for fp32,
+and for every narrower format whose precision ``p`` satisfies
+``24 >= 2p + 2`` and whose range fits float32 (bf16, fp16, fp8); float64
+otherwise.  For ``+``, ``-`` and ``*`` the native float32 result, rounded
+into the format, equals the float64 result rounded into the format:
+double rounding is innocuous when the wider precision ``p'`` is at least
+``2p + 2`` (Figueroa, "When is double rounding innocuous?", 1995), and
+53 >= 2 * 24 + 2 covers fp32 itself, whose float32 result needs no further
+rounding.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -230,6 +243,111 @@ def rounder(fmt: FloatFormat | str) -> Callable[[np.ndarray], np.ndarray]:
         dtype = np.dtype(np.float32 if fmt == FLOAT32 else np.float16)
         return lambda x: _quantize_via_numpy(np.asarray(x, dtype=np.float64, order="C"), dtype)
     return lambda x: _quantize_generic(np.asarray(x, dtype=np.float64, order="C"), fmt)
+
+
+@dataclass(frozen=True)
+class Carrier:
+    """The native dtype a format's datapath runs in, with its two roundings.
+
+    Attributes
+    ----------
+    dtype:
+        ``float32`` or ``float64``.
+    enter:
+        Rounds a float64 array into the format and returns it in ``dtype``.
+    round:
+        Rounds the result of one native ``+``, ``-`` or ``*`` on operands
+        already in the format, byte for byte as :func:`quantize` rounds the
+        float64 result of the same operation.  It may round in place and
+        return its argument, so pass it a fresh array.
+
+    Neither sets NumPy's float-error state: a caller that saturates to
+    infinity on purpose runs them under ``np.errstate(over="ignore")``.
+    """
+
+    dtype: np.dtype
+    enter: Callable[[np.ndarray], np.ndarray]
+    round: Callable[[np.ndarray], np.ndarray]
+
+
+_F32_SIGNIFICAND_BITS = 24
+_F32_MAX_EXPONENT = 127
+_F32_MIN_SUBNORMAL_EXPONENT = -149
+
+
+def _fits_float32(fmt: FloatFormat) -> bool:
+    """Whether float32 arithmetic on ``fmt``'s values double-rounds innocuously.
+
+    Besides ``24 >= 2p + 2`` and the exponent range, a product of two of the
+    format's values that is at least half its least subnormal must land on
+    float32's grid, where float32 itself is subnormal and keeps fewer than 24
+    bits.  Such a product is a multiple of ``2^(s - 2p)``, with ``s`` the
+    exponent of the least subnormal; bf16 meets this with equality.
+    """
+    p = fmt.mantissa_bits + 1
+    least = fmt.min_normal_exponent - fmt.mantissa_bits
+    return (
+        fmt.supports_subnormals
+        and 2 * p + 2 <= _F32_SIGNIFICAND_BITS
+        and fmt.max_normal_exponent <= _F32_MAX_EXPONENT
+        and least - 2 * p >= _F32_MIN_SUBNORMAL_EXPONENT
+    )
+
+
+_BF16_LOW = np.array(16, dtype=np.uint32)
+_BF16_LSB = np.array(1, dtype=np.uint32)
+_BF16_HALF32 = np.array(0x7FFF, dtype=np.uint32)
+_BF16_KEEP32 = np.array(0xFFFF0000, dtype=np.uint32)
+
+
+def _round_bfloat16_f32(c: np.ndarray) -> np.ndarray:
+    """bfloat16 RNE of a float32 array, in place, on its ``uint32`` view.
+
+    ``c`` holds the float32 result of one operation on bfloat16 values,
+    which is that operation's exact result rounded to 24 bits, so one RNE
+    to 8 bits gives the bfloat16 rounding of the exact result.  A NaN
+    becomes the positive quiet NaN, as :func:`quantize` makes it.
+    """
+    bits = c.view(np.uint32)
+    nan = np.isnan(c)
+    carry = np.right_shift(bits, _BF16_LOW)
+    np.bitwise_and(carry, _BF16_LSB, out=carry)
+    np.add(carry, _BF16_HALF32, out=carry)
+    np.add(bits, carry, out=bits)
+    np.bitwise_and(bits, _BF16_KEEP32, out=bits)
+    if nan.any():
+        c[nan] = np.nan
+    return c
+
+
+def _identity(c: np.ndarray) -> np.ndarray:
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def _carrier(fmt: FloatFormat) -> Carrier:
+    f32 = np.dtype(np.float32)
+    if fmt == FLOAT64:
+        return Carrier(np.dtype(np.float64), np.asarray, _identity)
+    if fmt == FLOAT32:
+        return Carrier(f32, lambda x: x.astype(f32), _identity)
+    rnd = rounder(fmt)
+    if not _fits_float32(fmt):
+        return Carrier(np.dtype(np.float64), rnd, rnd)
+    enter = lambda x: rnd(x).astype(f32)  # noqa: E731 - bound once per format
+    if fmt == BFLOAT16:
+        return Carrier(f32, enter, _round_bfloat16_f32)
+    return Carrier(f32, enter, lambda c: rnd(c.astype(np.float64)).astype(f32))
+
+
+def carrier(fmt: FloatFormat | str) -> Carrier:
+    """The :class:`Carrier` of ``fmt``, bound once per format.
+
+    float32 for fp32 and for every format that :func:`_fits_float32`
+    (bf16, fp16, fp8); float64, with the format's :func:`rounder`, for fp64
+    and any other format.
+    """
+    return _carrier(get_format(fmt))
 
 
 def quantization_step(values: np.ndarray | float, fmt: FloatFormat | str) -> np.ndarray:

@@ -9,9 +9,10 @@ trees).  The library binds a faster but bit-identical rounder; any change
 in the order of operations, a dropped or extra rounding, or a rounder that
 differs from :func:`quantize` on some input shows up here as a byte
 mismatch.  The sweep covers zero, constant, subnormal, overflowing and NaN
-rows, and rows whose squares are finite but whose squared norm ``m``
-overflows to infinity (the exponent read of an infinite ``m``); NaN
-payloads, signed zeros and infinities must match too.
+rows, rows whose squares are finite but whose squared norm ``m``
+overflows to infinity (the exponent read of an infinite ``m``), and rows
+that round to both +inf and -inf (whose sum is NaN); NaN payloads, signed
+zeros and infinities must match too.
 """
 
 import warnings
@@ -31,7 +32,7 @@ FORMATS = ("fp64", "fp32", "fp16", "bf16", "fp8_e4m3")
 ALL_FORMATS = sorted({spec.name for spec in REGISTRY.values()})
 D_VALUES = (1, 7, 64, 128, 200, 1024)
 ROW_COUNTS = (1, 16, 256)
-SPECIAL_ROWS = ("zero", "constant", "subnormal", "overflow", "nan", "m_overflow")
+SPECIAL_ROWS = ("zero", "constant", "subnormal", "overflow", "nan", "m_overflow", "infinities")
 FAN_IN = 8
 
 
@@ -112,6 +113,12 @@ def special_row(kind: str, fmt: str, d: int, rng) -> np.ndarray:
         # Alternating +-0.75 sqrt(max): zero mean, each square about half the
         # largest finite value, so any two of them sum past it.
         return 0.75 * np.sqrt(spec.max_finite) * np.where(np.arange(d) % 2, -1.0, 1.0)
+    if kind == "infinities":
+        # Beyond the range on both sides: the rounded row holds +inf and -inf
+        # among finite values, and the adder tree sums them to NaN.
+        row = rng.standard_normal(d)
+        row[0], row[d // 2] = 2.0 * spec.max_finite, -2.0 * spec.max_finite
+        return row
     row = rng.standard_normal(d)
     row[rng.integers(d)] = np.nan
     return row
@@ -201,6 +208,9 @@ def test_reassigned_gamma_and_beta_are_honoured(fmt):
     assert after_gamma[5:].tobytes() != before[5:].tobytes()
     layer.beta = rng.standard_normal(128)
     assert_bytes_equal(layer.forward(x), oracle_forward(layer, x))
+    # Parameters are bound when assigned; an in-place write would go unseen.
+    with pytest.raises(ValueError):
+        layer.gamma[0] = 3.0
 
 
 @pytest.mark.parametrize("d", (8, 64, 128))

@@ -47,9 +47,11 @@ class TestElementaryOps:
         np.testing.assert_array_equal(arith.add(a, b), a + b)
         np.testing.assert_array_equal(arith.mul(a, b), a * b)
 
-    def test_invalid_fan_in(self):
+    @pytest.mark.parametrize("fan_in", [1, 3, 6])
+    def test_invalid_fan_in(self, fan_in):
+        # The adder tree is a balanced tree of 2-input adders.
         with pytest.raises(ValueError):
-            FormatArithmetic("fp32", tree_fan_in=1)
+            FormatArithmetic("fp32", tree_fan_in=fan_in)
 
 
 class TestTreeSum:

@@ -53,13 +53,34 @@ class TestFunctionalEquivalence:
         assert np.isnan(module).all()
         assert macro.output.tobytes() == module.tobytes()
 
-    @pytest.mark.parametrize("d", [64, 128, 256, 1024])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_holding_both_infinities_matches_module_without_warning(self):
+        """Values beyond the format's range round to +inf and -inf; the adder
+        tree sums them to NaN, and both paths return the same all-NaN row
+        without a NumPy RuntimeWarning."""
+        d = 256
+        x = np.random.default_rng(d).normal(0.0, 4e4, size=d)
+        assert x.max() > 65520.0 and x.min() < -65520.0
+        macro = IterL2NormMacro(MacroConfig(fmt="fp16", num_steps=5)).normalize(x)
+        module = IterL2Norm(d, IterL2NormConfig(num_steps=5, fmt="fp16"))(x)
+        assert np.isnan(module).all()
+        assert macro.output.tobytes() == module.tobytes()
+
+    @pytest.mark.parametrize("d", [64, 128, 256, 512, 768, 1024])
     @pytest.mark.parametrize("fmt", ["fp32", "fp16", "bf16"])
     def test_matches_module_bitexactly_across_widths(self, fmt, d):
-        x = np.random.default_rng(d).normal(0.0, 1.0, size=d)
-        macro = IterL2NormMacro(MacroConfig(fmt=fmt, num_steps=5)).normalize(x)
-        module = IterL2Norm(d, IterL2NormConfig(num_steps=5, fmt=fmt))(x)
-        assert macro.output.tobytes() == module.tobytes()
+        """The paper's range of d, on rows shaped like the norm-kernel
+        benchmark's: a per-row offset, a scale across four decades, and
+        gamma/beta."""
+        rng = np.random.default_rng(d)
+        gamma, beta = 1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(3, 1))
+        x = (rng.standard_normal((3, d)) + rng.standard_normal((3, 1))) * scale
+        module = IterL2Norm(d, IterL2NormConfig(num_steps=5, fmt=fmt), gamma=gamma, beta=beta)
+        out = module(x)
+        macro = IterL2NormMacro(MacroConfig(fmt=fmt, num_steps=5))
+        for row, expected in zip(x, out):
+            assert macro.normalize(row, gamma, beta).output.tobytes() == expected.tobytes()
 
     def test_with_affine_parameters(self, rng):
         d = 256

@@ -141,8 +141,11 @@ class IterL2Norm:
     def _bind_param(self, value: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         param = np.array(value, dtype=np.float64)
         param.setflags(write=False)
-        in_format = np.asarray(self._arith.cast(param)).tobytes() == param.tobytes()
-        return param, self._carrier.enter(param) if in_format else None
+        if np.asarray(self._arith.cast(param)).tobytes() != param.tobytes():
+            return param, None
+        param_c = self._carrier.enter(param)
+        param_c.setflags(write=False)
+        return param, param_c
 
     # -- forward ---------------------------------------------------------------
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -156,21 +159,29 @@ class IterL2Norm:
         sequence axes of a transformer activation).  The whole batch is
         normalized in one vectorized pass.
 
-        Algorithm 1 runs on the format's
-        :func:`~repro.fpformats.quantize.carrier`: float32 for fp32 and for
-        every format whose precision ``p`` satisfies ``24 >= 2p + 2`` and
-        whose range fits float32 (bf16, fp16, fp8), float64 for fp64.
-        ``x`` is rounded into the format once and converted into the carrier
-        once; every centring, squaring, scaling and affine step is then one
-        native carrier operation followed by the carrier's rounding, which
-        gives the bytes of the float64 operation rounded into the format
-        (double rounding is innocuous for ``p' >= 2p + 2``).  Per-row means
-        and squared norms go through
+        Algorithm 1 runs in place, on one buffer of the format's
+        :func:`~repro.fpformats.quantize.carrier` dtype per call: float32
+        for fp32 and for every format whose precision ``p`` satisfies
+        ``24 >= 2p + 2`` and whose range fits float32 (bf16, fp16, fp8),
+        float64 for fp64.  ``x`` is rounded into the format once, straight
+        into that fresh buffer.  Centring, scaling and the gamma/beta affine
+        are native carrier ufuncs that write back into it, each followed by
+        the carrier's in-place rounding, which gives the bytes of the
+        float64 operation rounded into the format (double rounding is
+        innocuous for ``p' >= 2p + 2``); for bf16 every rounding reuses one
+        ``uint32`` carry array.  Per-row means and squared norms go through
         :meth:`~repro.fpformats.arithmetic.FormatArithmetic.tree_sum_rows`,
         which sums each group of 8 in the fixed order
         ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`` and rounds once per level;
         the scalar iteration runs on the vector of per-row ``m`` values at
-        once.  The result converts to float64 once.
+        once.  The result converts to a fresh float64 array once.
+
+        Live rows x d arrays besides ``x``: the carrier buffer, the bf16
+        carry, and while the squared norms are summed, the squares and the
+        adder tree's float64 levels (the first holds half as many
+        elements); then the float64 result, once only the buffer and the
+        carry are left.  ``x``, gamma, beta and their carrier copies are
+        never written.
 
         Infinities and NaNs are datapath results here, as in the update
         loop: a row that overflows the format or holds both infinities
@@ -182,14 +193,18 @@ class IterL2Norm:
                 f"last axis of x must be {self.normalized_dim}, got {x.shape[-1]}"
             )
         cfg = self.config
+        cr = self._carrier
+        rnd = cr.round
         tree_sum_rows = self._arith.tree_sum_rows
-        dtype, enter, rnd = self._carrier.dtype, self._carrier.enter, self._carrier.round
+        rows = x.reshape(-1, self.normalized_dim)
+        carry = np.empty(rows.shape, dtype=np.uint32) if cr.carries else None
 
         with np.errstate(over="ignore", invalid="ignore"):
-            x_c = enter(x.reshape(-1, self.normalized_dim))
-            means = rnd(tree_sum_rows(x_c).astype(dtype) * self._inv_d)
-            y = rnd(x_c - means[:, None])
-            m = tree_sum_rows(rnd(y * y))
+            # The carrier buffer: x in the format, then y, then the output.
+            c = cr.enter(rows, carry)
+            means = rnd(tree_sum_rows(c).astype(cr.dtype) * self._inv_d)
+            rnd(np.subtract(c, means[:, None], out=c), carry)
+            m = tree_sum_rows(rnd(np.multiply(c, c), carry))
             a = iterate_a_batch(
                 m,
                 num_steps=cfg.num_steps,
@@ -197,19 +212,18 @@ class IterL2Norm:
                 a0=cfg.initial_a,
                 fmt=self.fmt,
             )
-            scales = rnd(a.astype(dtype) * self._sqrt_d)
-            out = rnd(y * scales[:, None])
+            scales = rnd(a.astype(cr.dtype) * self._sqrt_d)
+            rnd(np.multiply(c, scales[:, None], out=c), carry)
             if cfg.elementwise_affine:
-                gamma, beta = self._gamma_c, self._beta_c
-                if gamma is None:
-                    out = enter(out.astype(np.float64) * self._gamma)
+                if self._gamma_c is None:
+                    c = cr.enter(c.astype(np.float64) * self._gamma, carry)
                 else:
-                    out = rnd(out * gamma)
-                if beta is None:
-                    out = enter(out.astype(np.float64) + self._beta)
+                    rnd(np.multiply(c, self._gamma_c, out=c), carry)
+                if self._beta_c is None:
+                    c = cr.enter(c.astype(np.float64) + self._beta, carry)
                 else:
-                    out = rnd(out + beta)
-        return out.astype(np.float64, copy=False).reshape(x.shape)
+                    rnd(np.add(c, self._beta_c, out=c), carry)
+        return c.astype(np.float64, copy=False).reshape(x.shape)
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         """Alias of :meth:`forward` (keeps parity with the exact baseline)."""

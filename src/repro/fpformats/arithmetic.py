@@ -34,6 +34,19 @@ from repro.fpformats.quantize import quantize, rounder  # noqa: F401
 from repro.fpformats.spec import FloatFormat, get_format
 
 
+def _adder_tree(level: np.ndarray) -> np.ndarray:
+    """Float64 sum over the last axis by rounds of strided pairwise adds:
+    element ``2i`` meets ``2i + 1``, and an odd last element moves up a
+    round unchanged."""
+    while level.shape[-1] > 1:
+        width = level.shape[-1]
+        pairs = np.add(level[..., 0 : width - 1 : 2], level[..., 1::2], dtype=np.float64)
+        if width % 2:
+            pairs = np.concatenate([pairs, level[..., -1:].astype(np.float64)], axis=-1)
+        level = pairs
+    return level[..., 0]
+
+
 class FormatArithmetic:
     """Arithmetic wrapper that quantizes after every operation.
 
@@ -110,9 +123,13 @@ class FormatArithmetic:
         """:meth:`tree_sum` of each row of a 2-D array already in the format,
         float32 or float64, skipping the (idempotent) input rounding.
 
-        Each level zero-pads the rows to a multiple of the fan-in, sums each
-        group in float64 as a balanced tree of strided pairwise adds, and
-        rounds the sums once.  A row holding both infinities sums to NaN, the
+        Each level wider than the fan-in zero-pads the rows to a multiple of
+        it, sums each group in float64 as a balanced tree of strided
+        pairwise adds, and rounds the sums once; the first level reads
+        float32 rows as they are.  The last level, of at most fan-in sums,
+        is one group: its tree runs without the padding, then adds one
+        zero for the padded lanes, the one effect they have (a ``-0`` sum
+        comes out ``+0``).  A row holding both infinities sums to NaN, the
         datapath's result: like the iteration's update loop, the kernel
         reports no float error.  No rows, or rows of length 0, give zeros of
         length ``len(rows)``; the result is float64.
@@ -123,20 +140,20 @@ class FormatArithmetic:
         k = self.tree_fan_in
         current = rows
         with np.errstate(over="ignore", invalid="ignore"):
-            while width > 1:
+            while width > k:
                 groups = -(-width // k)
                 if groups * k != width:
                     padded = np.zeros((count, groups * k))
                     padded[:, :width] = current
                     current = padded
-                elif current.dtype != np.float64:
-                    current = current.astype(np.float64)
-                level = current.reshape(count, groups, k)
-                while level.shape[-1] > 1:
-                    level = level[..., 0::2] + level[..., 1::2]
-                current = self._round(level.reshape(count, groups))
+                current = self._round(_adder_tree(current.reshape(count, groups, k)))
                 width = groups
-        return current[:, 0].astype(np.float64, copy=False)
+            if width == 1:
+                return current[:, 0].astype(np.float64, copy=False)
+            total = _adder_tree(current)
+            if width < k:
+                total += 0.0
+            return self._round(total)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Inner product: element-wise rounded products, then a tree sum."""

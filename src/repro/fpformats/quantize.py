@@ -25,7 +25,8 @@ even of the 52-bit mantissa to bfloat16's 7, the same result as
 :func:`quantize`'s round-to-odd float32 prestep followed by RNE, whenever
 every non-zero result lands in bfloat16's normal range.  An array with a
 NaN, an infinity, an overflow or a subnormal-range element goes through the
-reference path instead.
+reference path instead.  The fp8 rounders round their float64 bit pattern
+the same way, with an exact power-of-two scaling for subnormal results.
 
 :func:`carrier` binds, per format, the native dtype that a chain of
 operations on values *already in the format* can run in: float32 for fp32,
@@ -36,7 +37,8 @@ into the format, equals the float64 result rounded into the format:
 double rounding is innocuous when the wider precision ``p'`` is at least
 ``2p + 2`` (Figueroa, "When is double rounding innocuous?", 1995), and
 53 >= 2 * 24 + 2 covers fp32 itself, whose float32 result needs no further
-rounding.
+rounding.  The carrier's rounding works in place, so a chain of operations
+runs on one buffer; bf16's reuses one ``uint32`` array for its carries.
 """
 
 from __future__ import annotations
@@ -231,7 +233,8 @@ def rounder(fmt: FloatFormat | str) -> Callable[[np.ndarray], np.ndarray]:
     new C-contiguous float64 array of the input's shape (a 0-d array for a
     scalar, never a Python float); the input is not modified.  ``fp64`` is a
     copy, ``fp32``/``fp16`` a native-dtype round trip, ``bf16`` one rounding
-    of the float64 bit pattern (see the module docstring), and every other
+    of the float64 bit pattern (see the module docstring), fp8 the same
+    rounding with a subnormal path (:func:`_bit_rounder`), and every other
     format the generic ulp-scaling path.
     """
     fmt = get_format(fmt)
@@ -242,7 +245,51 @@ def rounder(fmt: FloatFormat | str) -> Callable[[np.ndarray], np.ndarray]:
     if fmt == FLOAT32 or fmt == FLOAT16:
         dtype = np.dtype(np.float32 if fmt == FLOAT32 else np.float16)
         return lambda x: _quantize_via_numpy(np.asarray(x, dtype=np.float64, order="C"), dtype)
+    if fmt.total_bits <= 8 and fmt.supports_subnormals:
+        return _bit_rounder(fmt)
     return lambda x: _quantize_generic(np.asarray(x, dtype=np.float64, order="C"), fmt)
+
+
+def _bit_rounder(fmt: FloatFormat) -> Callable[[np.ndarray], np.ndarray]:
+    """RNE to an 8-bit format with subnormals, on the float64 bit pattern.
+
+    A result in the format's normal range is the float64 pattern rounded
+    once to ``mantissa_bits``, as for bfloat16.  Below the smallest normal
+    the grid is the subnormal one, a multiple of ``2^(emin - m)``:
+    ``rint(x * 2^(m - emin)) * 2^(emin - m)``, both scalings exact.  An
+    array with a NaN, an infinity or an element at or past the overflow
+    threshold goes through :func:`_quantize_generic` instead; the check
+    reads the input, because a carry can wrap a NaN's pattern onto a
+    finite one.
+    """
+    drop = 52 - fmt.mantissa_bits
+    shift = np.array(drop, dtype=np.uint64)
+    half = np.array((1 << (drop - 1)) - 1, dtype=np.uint64)
+    keep = np.array(((1 << 64) - 1) ^ ((1 << drop) - 1), dtype=np.uint64)
+    smallest_normal = fmt.min_positive_normal
+    up = 2.0 ** (fmt.mantissa_bits - fmt.min_normal_exponent)
+    down = 1.0 / up
+    overflow = fmt.max_finite + 0.5 * 2.0 ** (fmt.max_normal_exponent - fmt.mantissa_bits)
+
+    def round_bits(x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        mag = np.abs(x)
+        if not (mag.size and mag.max() < overflow):
+            return _quantize_generic(np.asarray(x, order="C"), fmt)
+        out = np.empty(x.shape)
+        bits = out.view(np.uint64)
+        src = x.view(np.uint64)
+        np.right_shift(src, shift, out=bits)
+        np.bitwise_and(bits, _ONE, out=bits)
+        np.add(bits, src, out=bits)
+        np.add(bits, half, out=bits)
+        np.bitwise_and(bits, keep, out=bits)
+        subnormal = mag < smallest_normal
+        if subnormal.any():
+            out[subnormal] = np.rint(x[subnormal] * up) * down
+        return out
+
+    return round_bits
 
 
 @dataclass(frozen=True)
@@ -254,20 +301,27 @@ class Carrier:
     dtype:
         ``float32`` or ``float64``.
     enter:
-        Rounds a float64 array into the format and returns it in ``dtype``.
+        ``enter(x, carry=None)`` rounds a float64 array into the format and
+        returns it as a fresh ``dtype`` array; ``x`` is not modified.
     round:
-        Rounds the result of one native ``+``, ``-`` or ``*`` on operands
-        already in the format, byte for byte as :func:`quantize` rounds the
-        float64 result of the same operation.  It may round in place and
-        return its argument, so pass it a fresh array.
+        ``round(c, carry=None)`` rounds ``c`` in place, the result of one
+        native ``+``, ``-`` or ``*`` on operands already in the format, byte
+        for byte as :func:`quantize` rounds the float64 result of the same
+        operation, and returns ``c``.
+    carries:
+        Whether the two roundings work on the ``uint32`` bits (bf16).  A
+        caller running a chain of them can then pass one ``uint32`` array
+        of the operand's shape as ``carry`` and reuse it for every step;
+        otherwise ``carry`` is ignored and may be omitted.
 
     Neither sets NumPy's float-error state: a caller that saturates to
     infinity on purpose runs them under ``np.errstate(over="ignore")``.
     """
 
     dtype: np.dtype
-    enter: Callable[[np.ndarray], np.ndarray]
-    round: Callable[[np.ndarray], np.ndarray]
+    enter: Callable[..., np.ndarray]
+    round: Callable[..., np.ndarray]
+    carries: bool = False
 
 
 _F32_SIGNIFICAND_BITS = 24
@@ -298,46 +352,89 @@ _BF16_LOW = np.array(16, dtype=np.uint32)
 _BF16_LSB = np.array(1, dtype=np.uint32)
 _BF16_HALF32 = np.array(0x7FFF, dtype=np.uint32)
 _BF16_KEEP32 = np.array(0xFFFF0000, dtype=np.uint32)
+_BF16_DROPPED32 = np.array(0xFFFF, dtype=np.uint32)
+_BF16_TIE32 = np.array(0x8000, dtype=np.uint32)
 
 
-def _round_bfloat16_f32(c: np.ndarray) -> np.ndarray:
+def _round_bfloat16_f32(c: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
     """bfloat16 RNE of a float32 array, in place, on its ``uint32`` view.
 
     ``c`` holds the float32 result of one operation on bfloat16 values,
     which is that operation's exact result rounded to 24 bits, so one RNE
     to 8 bits gives the bfloat16 rounding of the exact result.  A NaN
-    becomes the positive quiet NaN, as :func:`quantize` makes it.
+    becomes the positive quiet NaN, as :func:`quantize` makes it.  The
+    carries go into ``carry``, a ``uint32`` array of ``c``'s shape, or into
+    a fresh one.
     """
     bits = c.view(np.uint32)
-    nan = np.isnan(c)
-    carry = np.right_shift(bits, _BF16_LOW)
+    # max() propagates a NaN: one pass, no mask, unless there is one.
+    nan = np.isnan(c) if c.size and np.isnan(c.max()) else None
+    if carry is None:
+        carry = np.empty(c.shape, dtype=np.uint32)
+    np.right_shift(bits, _BF16_LOW, out=carry)
     np.bitwise_and(carry, _BF16_LSB, out=carry)
     np.add(carry, _BF16_HALF32, out=carry)
     np.add(bits, carry, out=bits)
     np.bitwise_and(bits, _BF16_KEEP32, out=bits)
-    if nan.any():
+    if nan is not None:
         c[nan] = np.nan
     return c
 
 
-def _identity(c: np.ndarray) -> np.ndarray:
+def _enter_bfloat16(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    """bfloat16 RNE of a float64 array, as a fresh float32 array.
+
+    The float32 cast rounds to nearest, and :func:`_round_bfloat16_f32`
+    then rounds to bfloat16 in place.  That double rounding is exact
+    except where the cast lands on a bfloat16 midpoint (the 16 dropped
+    bits read ``0x8000``): every midpoint is a float32 value, so the cast
+    keeps each other input on its side of it.  The elements on a midpoint
+    are redone by :func:`_quantize_bfloat16`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.array(x, dtype=np.float32)
+    if carry is None:
+        carry = np.empty(c.shape, dtype=np.uint32)
+    dropped = np.bitwise_and(c.view(np.uint32), _BF16_DROPPED32, out=carry)
+    tie = dropped == _BF16_TIE32
+    _round_bfloat16_f32(c, dropped)
+    if tie.any():
+        c[tie] = _quantize_bfloat16(np.asarray(x, dtype=np.float64)[tie])
     return c
+
+
+def _no_rounding(c: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    return c
+
+
+def _copy_f64(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    return np.array(x, dtype=np.float64)
+
+
+def _cast_f32(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    return np.array(x, dtype=np.float32)
 
 
 @functools.lru_cache(maxsize=None)
 def _carrier(fmt: FloatFormat) -> Carrier:
     f32 = np.dtype(np.float32)
     if fmt == FLOAT64:
-        return Carrier(np.dtype(np.float64), np.asarray, _identity)
+        return Carrier(np.dtype(np.float64), _copy_f64, _no_rounding)
     if fmt == FLOAT32:
-        return Carrier(f32, lambda x: x.astype(f32), _identity)
-    rnd = rounder(fmt)
-    if not _fits_float32(fmt):
-        return Carrier(np.dtype(np.float64), rnd, rnd)
-    enter = lambda x: rnd(x).astype(f32)  # noqa: E731 - bound once per format
+        return Carrier(f32, _cast_f32, _no_rounding)
     if fmt == BFLOAT16:
-        return Carrier(f32, enter, _round_bfloat16_f32)
-    return Carrier(f32, enter, lambda c: rnd(c.astype(np.float64)).astype(f32))
+        return Carrier(f32, _enter_bfloat16, _round_bfloat16_f32, carries=True)
+    rnd = rounder(fmt)
+    dtype = f32 if _fits_float32(fmt) else np.dtype(np.float64)
+
+    def enter(x: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+        return rnd(x).astype(dtype, copy=False)
+
+    def round_in_place(c: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+        np.copyto(c, rnd(c), casting="same_kind")
+        return c
+
+    return Carrier(dtype, enter, round_in_place)
 
 
 def carrier(fmt: FloatFormat | str) -> Carrier:

@@ -57,6 +57,8 @@ arithmetic, never a re-association:
   accumulation loops.
 * Every cast is the op layer's bound caster, bit-identical to ``quantize``
   and returning C order; the reference path casts with the same casters.
+  The one cast the plan drops is the activation cast of an IterL2Norm
+  output in the activation format: it would return the same bytes.
 * KV quantization is elementwise, so quantizing the whole ``(batch, heads,
   max_new, head_dim)`` tensor once and appending per-row slices writes the
   same bytes as quantizing each row separately.  The ``append_raw`` gate
@@ -103,6 +105,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.layernorm import IterL2Norm
+from repro.fpformats.spec import FLOAT64, get_format
 from repro.nn.functional import causal_mask_offset, det_matmul, det_softmax
 from repro.nn.kv_cache import resolve_kv_format
 from repro.precision.ops import caster
@@ -192,12 +196,18 @@ def _norm_closure(norm, ops):
     between plan rebuilds.
     """
     act = ops.act
+    act_fmt = FLOAT64 if ops.passthrough else get_format(ops.policy.activation_fmt)
     eps = norm.eps
 
     def run(x):
         ev = norm.eval_normalizer
         if ev is not None:
-            return act(ev(x))
+            out = ev(x)
+            # IterL2Norm's output is already in its format, and the act
+            # cast returns the bytes of a value in its format, NaN included.
+            if isinstance(ev, IterL2Norm) and ev.fmt == act_fmt:
+                return out
+            return act(out)
         centered = x - x.mean(axis=-1, keepdims=True)
         var = np.mean(centered * centered, axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + eps)
